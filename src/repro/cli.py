@@ -28,9 +28,10 @@ profile; ``--trace-format chrome`` emits Chrome ``trace_event`` JSON for
 chrome://tracing / Perfetto instead of the native schema) and ``--trace``
 (print the bus transaction log summary; PPA architecture only).
 
-``mcp``, ``apsp`` and ``profile`` accept ``--engine {auto,cycle,fused}``
-(see docs/performance.md, "Choosing an engine"). ``auto`` — the default —
-runs the fused analytic-cost engine whenever the machine is eligible and
+``mcp``, ``apsp`` and ``profile`` accept
+``--engine {auto,cycle,fused,compiled}`` (see docs/performance.md,
+"Choosing an engine"). ``auto`` — the default — runs the compiled
+analytic-cost engine whenever the machine is eligible and
 silently falls back to the faithful cycle engine otherwise. An explicit
 ``--engine fused`` combined with anything that needs per-transaction
 execution (``--resilient``, ``--fault*``, ``--trace``, ``--profile``,
@@ -386,10 +387,11 @@ def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
         "--engine",
         choices=ENGINE_NAMES,
         default="auto",
-        help="execution engine: 'auto' (default) runs the fastest eligible "
-        "analytic tier — cache-blocked 'compiled' kernels on large grids, "
-        "'fused' whole-array kernels below — and falls back to the "
-        "faithful cycle engine otherwise; results and counters are "
+        help="execution engine: 'auto' (default) runs the 'compiled' "
+        "analytic tier (edge-list kernel on sparse graphs, cache-blocked "
+        "dense tiles otherwise) and falls back to the faithful cycle "
+        "engine when the machine is ineligible; 'fused' is the "
+        "whole-array dense reference; results and counters are "
         "bit-identical (see docs/performance.md)",
     )
 

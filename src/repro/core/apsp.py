@@ -130,7 +130,7 @@ def all_pairs_minimum_cost(
         bound the ``O(lanes * n^2)`` working set on big grids.
     engine
         Execution engine per destination batch: ``"auto"`` (default) runs
-        the fused analytic-cost engine when eligible — which is the normal
+        the compiled analytic-cost engine when eligible — which is the normal
         case for plain sweeps — and the cycle engine otherwise (profiling,
         fault plans, ``word_parallel=True`` ablations). Forcing
         ``"cycle"``/``"fused"``/``"compiled"`` is forwarded verbatim;

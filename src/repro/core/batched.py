@@ -193,9 +193,9 @@ def batched_minimum_cost_path(
     zero_diagonal, max_iterations, min_routine, selected_min_routine
         As in :func:`repro.core.mcp.minimum_cost_path`.
     engine
-        ``"auto"`` (default) upgrades to the fastest eligible analytic
-        tier — ``compiled`` on large grids, ``fused`` below — on eligible
-        machines (see :mod:`repro.engine`); ``"cycle"``/``"fused"``/
+        ``"auto"`` (default) upgrades to the ``compiled`` analytic tier
+        on eligible machines (see :mod:`repro.engine`);
+        ``"cycle"``/``"fused"``/
         ``"compiled"`` force one. Results and both counter books are
         bit-identical every way.
     warm_sow

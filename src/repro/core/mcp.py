@@ -84,11 +84,11 @@ def minimum_cost_path(
         by default; :mod:`repro.core.variants` injects the word-parallel
         ones for ablation A7.
     engine
-        ``"auto"`` (default) runs the fastest eligible analytic tier —
-        ``compiled`` (cache-blocked kernels) on large grids, ``fused``
-        below that — whenever the machine is eligible (no fault plan,
-        span tracer, bus trace or non-default reduction routines) and the
-        faithful cycle engine otherwise; ``"cycle"``/``"fused"``/
+        ``"auto"`` (default) runs the ``compiled`` analytic tier (its
+        kernel chosen by the plane's density) whenever the machine is
+        eligible (no fault plan, span tracer, bus trace or non-default
+        reduction routines) and the faithful cycle engine otherwise;
+        ``"cycle"``/``"fused"``/
         ``"compiled"`` force one (the analytic tiers raise
         :class:`~repro.errors.EngineError` on an ineligible machine). All
         engines return bit-identical results and counters; see

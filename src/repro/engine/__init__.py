@@ -5,35 +5,39 @@
     every bus primitive is individually executed and charged. Required for
     fault plans, span tracing, bus traces and reduction-routine ablations.
 
-``fused``
-    The analytic-cost engine (:mod:`repro.engine.fused`): each relaxation
-    round is a few vectorised numpy kernels, and the counters are charged
-    from a per-configuration cost vector replayed off the cycle engine
-    (:mod:`repro.engine.costs`). Bit-identical results and ledgers, orders
-    of magnitude less Python dispatch — the ``n = 64``..``255`` regime.
-
 ``compiled``
-    The cache-blocked tier (:mod:`repro.engine.compiled`): the same
-    analytic replay, but the min-plus relaxation runs in L2-resident row
-    tiles (optionally JIT'd via numba when installed — never required).
-    The large-grid regime; ``auto`` prefers it from
-    ``n >= COMPILED_AUTO_MIN_N``.
+    The analytic-cost engine (:mod:`repro.engine.compiled`): each
+    relaxation round is one vectorised numpy kernel, and the counters are
+    charged from a per-configuration cost vector replayed off the cycle
+    engine (:mod:`repro.engine.costs`). Sparse shared planes relax over
+    their edge list; dense planes and per-lane stacks over cache-blocked
+    tiles. Bit-identical results and ledgers, orders of magnitude less
+    Python dispatch.
+
+``fused``
+    The whole-array dense reference (:mod:`repro.engine.fused`): the same
+    analytic replay through one ``(..., n, n)`` temporary per round. Run
+    only on request — the differential suites, the P17/P18 baselines and
+    the serving tier's degradation ladder use it.
 
 ``auto`` (default everywhere)
-    :func:`~repro.engine.select.resolve_engine` upgrades to the fastest
-    eligible analytic tier and silently falls back to ``cycle`` otherwise.
+    :func:`~repro.engine.select.resolve_engine` upgrades to ``compiled``
+    on every eligible machine and silently falls back to ``cycle``
+    otherwise.
 
 Process-parallel APSP destination sharding (:mod:`repro.engine.shard`)
 composes with any tier through ``all_pairs_minimum_cost(workers=...)``.
 """
 
 from repro.engine.compiled import (
-    HAS_NUMBA,
+    EDGE_LIST_MAX_DENSITY,
     blocked_relax,
     compiled_batched_minimum_cost_path,
     compiled_kernel_info,
     compiled_minimum_cost_path,
-    numba_active,
+    edge_list,
+    edge_relax,
+    lane_block,
     row_block,
 )
 from repro.engine.costs import (
@@ -51,7 +55,6 @@ from repro.engine.fused import (
     fused_minimum_cost_path,
 )
 from repro.engine.select import (
-    COMPILED_AUTO_MIN_N,
     ENGINE_DEGRADE_ORDER,
     ENGINE_NAMES,
     EngineChoice,
@@ -72,7 +75,6 @@ from repro.engine.shard import (
 
 __all__ = [
     "ENGINE_NAMES",
-    "COMPILED_AUTO_MIN_N",
     "EngineChoice",
     "fused_block_reason",
     "compiled_block_reason",
@@ -87,9 +89,11 @@ __all__ = [
     "install_cost_cache",
     "fused_minimum_cost_path",
     "fused_batched_minimum_cost_path",
-    "HAS_NUMBA",
-    "numba_active",
+    "EDGE_LIST_MAX_DENSITY",
+    "edge_list",
+    "edge_relax",
     "row_block",
+    "lane_block",
     "blocked_relax",
     "compiled_kernel_info",
     "compiled_minimum_cost_path",

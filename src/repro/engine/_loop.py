@@ -1,16 +1,20 @@
 """The shared analytic-cost MCP loop.
 
-Both analytic tiers — ``fused`` (whole-array kernels) and ``compiled``
-(cache-blocked kernels, optional numba) — run the *same* control flow:
-init row-``d`` state, relax until convergence, charge counters by
-replaying the per-configuration cost vector (:mod:`repro.engine.costs`).
-The only difference between the tiers is the relaxation kernel, so the
-loop lives here once, parameterised by a ``relax(sow, W, maxint)``
-callable, and the per-tier modules stay thin. Anything pinned about the
-fused engine's semantics (smallest-index tie-break, convergence masking,
-lane ledgers, the ``MIN_SOW[d, d] = 0`` invariant) is pinned about this
-loop — the differential suite in ``tests/engine/`` exercises it through
-both tiers.
+Both analytic tiers — ``compiled`` (edge-list or cache-blocked dense
+kernel, chosen per call by the plane's density) and ``fused`` (the
+whole-array dense reference) — run the *same* control flow: init
+row-``d`` state, relax until convergence, charge counters by replaying
+the per-configuration cost vector (:mod:`repro.engine.costs`). The only
+difference between the tiers is the relaxation kernel, so the loop lives
+here once, parameterised by a ``relax(sow, W, maxint)`` callable that it
+calls once per round with the normalised plane, and the per-tier modules
+stay thin. A kernel may keep per-plane state for the duration of one
+call (the compiled tier's edge list); the loop never caches anything
+across calls. Anything pinned about the engines' semantics
+(smallest-index tie-break, convergence masking, lane ledgers, the
+``MIN_SOW[d, d] = 0`` invariant) is pinned about this loop — the
+differential suite in ``tests/engine/`` exercises it through both tiers
+and both compiled kernels.
 """
 
 from __future__ import annotations

@@ -1,34 +1,51 @@
-"""The compiled (cache-blocked, optionally JIT'd) MCP engine tier.
+"""The compiled MCP engine tier: edge-list and cache-blocked kernels.
 
-Third engine tier below ``fused`` (see :mod:`repro.engine.select`). The
-fused engine materialises the whole ``(..., n, n)`` candidate matrix per
-relaxation round and then walks it twice more (``min`` + ``argmin``) —
-at ``n >= 1024`` those temporaries are hundreds of megabytes and every
-pass streams them through DRAM. The compiled tier computes the *same*
-relaxation in row tiles sized to stay cache-resident:
+The engine ``auto`` resolves to on every eligible machine (see
+:mod:`repro.engine.select`). Statement 10 of the paper's loop,
+``SOW_id <- min_j(w_ij + SOW_jd)``, only does useful work where an edge
+``i -> j`` exists, so the tier picks its relaxation kernel per engine
+call from the weight plane it is handed: the **edge list**
+(:func:`edge_relax`) for a shared ``(n, n)`` plane whose density — the
+share of its ``n x n`` entries below MAXINT, zero diagonal included — is
+below :data:`EDGE_LIST_MAX_DENSITY` and whose packed key fits
+(:func:`edge_list`); the **dense tiles** (:func:`blocked_relax`) for
+every other plane: denser shared planes, per-lane ``(B, n, n)`` stacks,
+and words too wide for the key.
 
-* **pure-numpy blocked kernel** (always available): the candidate block
-  ``min(sow[..., None, :] + W[i0:i1], MAXINT)`` holds only
-  ``B x rows x n`` words, with ``rows`` chosen so the block is ~1 MiB
-  (:func:`row_block`); min/argmin run per block while it is still hot.
-  ~4-5x over the fused kernel at ``n = 1024`` on one core, identical
-  output bit for bit (numpy ``argmin`` keeps the smallest-index
-  tie-break per block, and the cross-block merge uses a strict ``<`` so
-  the first block achieving the minimum wins — exactly the bit-serial
-  ``selected_min`` semantics).
-* **numba fast path** (optional, detected at import, never required):
-  ``@njit(parallel=True)`` single-pass min+argmin over the rows. Absent
-  numba — or with ``REPRO_DISABLE_NUMBA`` set — the numpy tiling runs;
-  results are bit-identical either way, so CI exercises both sides of
-  the detection with the same golden ledgers.
+* **Edge list.** The plane's entries below MAXINT are gathered once per
+  engine call, in row-major (CSR) order, as packed keys
+  ``(w << s) | j`` with ``s = bit_length(n - 1)``. One round gathers
+  ``(sow[j] << s) + key`` per entry — ``((sow[j] + w) << s) | j`` — and
+  one ``np.minimum.reduceat`` over the row segments yields both each
+  row's minimum (``key >> s``) and its smallest-index argmin
+  (``key & (2**s - 1)``), the bit-serial ``selected_min`` tie-break.
+  Rows whose minimum reaches MAXINT (every candidate saturated, or no
+  entry at all) report ``(MAXINT, 0)``, which is exactly what the dense
+  kernels report there: column 0's candidate is MAXINT too. The key is
+  exact while ``word_bits + 1 + s <= 63`` (the unclipped sum of two
+  words needs one carry bit); wider configurations take the dense tiles.
+  Lanes are chunked so one ``lanes x nnz`` gather stays near 1 MiB.
+* **Dense tiles.** The candidate block ``sow[..., None, :] + W[i0:i1]``
+  is built one ``lanes x rows x n`` tile at a time, sized to ~1 MiB
+  (:func:`row_block`, :func:`lane_block`); the argmin and the minimum
+  it points at are read while the tile is still hot. numpy's ``argmin``
+  is first-occurrence within a tile and tiles are visited in index
+  order, so the tie-break is the fused kernel's, bit for bit. Clipping
+  at MAXINT is left to the end, like the edge list's: below MAXINT it
+  changes no minimum, and a row whose minimum reaches it reports
+  ``(MAXINT, 0)``.
+
+The edge list lives only for the engine call that built it
+(:func:`relax_kernel`): service threads and forked shard workers never
+share one.
 
 Counters are **replayed** from the same per-configuration analytic cost
 vectors as the fused engine (:mod:`repro.engine.costs`), through the same
 shared loop (:mod:`repro.engine._loop`): SOW/PTN/iteration counts, the
 scalar counter book and every per-lane serial-equivalent ledger are
-bit-identical to both the ``cycle`` and ``fused`` engines. The
-differential suite in ``tests/engine/test_compiled.py`` pins this across
-graphs, word widths, lane counts and block sizes.
+bit-identical to both the ``cycle`` and ``fused`` engines, whichever
+kernel ran. The differential suites in ``tests/engine/`` pin this on
+both sides of the density threshold.
 
 Process-parallel APSP destination sharding rides on this tier — see
 :mod:`repro.engine.shard`.
@@ -37,6 +54,7 @@ Process-parallel APSP destination sharding rides on this tier — see
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,50 +64,44 @@ from repro.engine.select import resolve_engine
 from repro.ppa.machine import PPAMachine
 
 __all__ = [
-    "HAS_NUMBA",
-    "numba_active",
+    "EDGE_LIST_MAX_DENSITY",
+    "EdgeList",
+    "edge_list",
+    "edge_relax",
     "row_block",
+    "lane_block",
     "blocked_relax",
+    "relax_kernel",
     "compiled_kernel_info",
     "compiled_minimum_cost_path",
     "compiled_batched_minimum_cost_path",
 ]
 
-#: Target byte size of one candidate tile (``B x rows x n`` int64). ~1 MiB
-#: keeps the tile L2-resident on every CPU this is likely to meet; measured
-#: best on the P18 workloads (see benchmarks/bench_p18_compiled.py).
+#: Target byte size of one candidate tile (``lanes x rows x n`` int64) and
+#: of one edge-list gather (``lanes x nnz``). ~1 MiB keeps it L2-resident
+#: on every CPU this is likely to meet.
 _BLOCK_TARGET_BYTES = 1 << 20
 
 #: Floor on rows per tile: below this the Python loop overhead dominates.
 _MIN_BLOCK_ROWS = 16
 
-_DISABLE_ENV = "REPRO_DISABLE_NUMBA"
 _BLOCK_ENV = "REPRO_COMPILED_BLOCK"
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-
-    HAS_NUMBA = True
-except Exception:  # pragma: no cover - the usual case in CI's bare leg
-    _numba = None
-    HAS_NUMBA = False
-
-
-def numba_active() -> bool:
-    """Whether the numba fast path will be used for the next kernel call.
-
-    True only when numba imported successfully *and* ``REPRO_DISABLE_NUMBA``
-    is unset/empty — the CI equivalence matrix runs the same suite with the
-    variable set to force the pure-numpy tiling on a numba-equipped host.
-    """
-    return HAS_NUMBA and not os.environ.get(_DISABLE_ENV)
+#: Plane density (entries below MAXINT over ``n**2``) from which the dense
+#: tiles replace the edge list. Measured on a 2-vCPU Xeon (numpy 2.4), one
+#: round at ``n = 256``/``512``: with 64-256 lanes the edge list wins up to
+#: density ~0.5-0.75; a one-lane solve must also repay the list's build
+#: (about two dense rounds at density 0.5) in its few rounds, and there the
+#: crossover is ~0.3-0.4 (docs/performance.md, "Choosing an engine").
+EDGE_LIST_MAX_DENSITY = 0.4
 
 
 def row_block(batch: int, n: int) -> int:
     """Rows per candidate tile for a ``(batch, n)`` state relaxation.
 
     Sized so one ``batch x rows x n`` int64 tile is ~`_BLOCK_TARGET_BYTES`,
-    floored at ``_MIN_BLOCK_ROWS`` and capped at ``n``. Overridable via the
+    floored at ``_MIN_BLOCK_ROWS`` and capped at ``n``; when the floor
+    wins, :func:`lane_block` splits the lanes instead. Overridable via the
     ``REPRO_COMPILED_BLOCK`` environment variable (any positive integer) —
     a tuning knob only; every block size is bit-identical.
     """
@@ -97,11 +109,19 @@ def row_block(batch: int, n: int) -> int:
     if override:
         return max(1, min(int(override), n))
     rows = _BLOCK_TARGET_BYTES // (max(1, batch) * max(1, n) * 8)
-    return max(_MIN_BLOCK_ROWS, min(int(rows), n))
+    return min(max(_MIN_BLOCK_ROWS, int(rows)), n)
+
+
+def lane_block(batch: int, n: int) -> int:
+    """Lanes per candidate tile: as many as keep one
+    ``lanes x row_block(batch, n) x n`` tile within the byte budget."""
+    rows = row_block(batch, n)
+    lanes = _BLOCK_TARGET_BYTES // (rows * max(1, n) * 8)
+    return max(1, min(int(lanes), batch))
 
 
 def _relax_numpy_blocked(sow: np.ndarray, W: np.ndarray, maxint: int):
-    """Blocked pure-numpy relaxation over row tiles.
+    """Blocked pure-numpy relaxation over ``lanes x rows`` tiles.
 
     ``sow`` is ``(B, n)``; ``W`` is ``(n, n)`` (shared across lanes) or
     ``(B, n, n)`` (per lane). Returns ``(new_sow, arg)`` with ``arg`` the
@@ -112,93 +132,148 @@ def _relax_numpy_blocked(sow: np.ndarray, W: np.ndarray, maxint: int):
     B, n = sow.shape
     best = np.empty((B, n), dtype=np.int64)
     arg = np.empty((B, n), dtype=np.int64)
-    sow_b = sow[:, None, :]  # (B, 1, n) broadcast against each row tile
-    step = row_block(B, n)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        tile = W[i0:i1] if W.ndim == 2 else W[:, i0:i1, :]
-        cand = np.minimum(sow_b + tile, maxint)
-        best[:, i0:i1] = cand.min(axis=-1)
-        arg[:, i0:i1] = cand.argmin(axis=-1)
+    rows = row_block(B, n)
+    lanes = lane_block(B, n)
+    for b0 in range(0, B, lanes):
+        b1 = min(b0 + lanes, B)
+        sow_b = sow[b0:b1, None, :]  # broadcast against each row tile
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            tile = W[i0:i1] if W.ndim == 2 else W[b0:b1, i0:i1, :]
+            # Unclipped sums: clipping at MAXINT only matters where the
+            # row minimum reaches it, and that is fixed up once below.
+            cand = sow_b + tile
+            a = cand.argmin(axis=-1)
+            arg[b0:b1, i0:i1] = a
+            best[b0:b1, i0:i1] = np.take_along_axis(
+                cand, a[..., None], axis=-1
+            )[..., 0]
+    # A saturated row's clipped candidates all equal MAXINT, whose first
+    # occurrence is column 0.
+    saturated = best >= maxint
+    best[saturated] = maxint
+    arg[saturated] = 0
     return best, arg
 
 
-if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_numba.njit(parallel=True, cache=True)
-    def _numba_relax_shared(sow, W, maxint, best, arg):
-        B, n = sow.shape
-        for b in _numba.prange(B):
-            for i in range(n):
-                m = maxint
-                a = 0
-                row = W[i]
-                for j in range(n):
-                    c = sow[b, j] + row[j]
-                    if c > maxint:
-                        c = maxint
-                    if c < m:
-                        m = c
-                        a = j
-                best[b, i] = m
-                arg[b, i] = a
-
-    @_numba.njit(parallel=True, cache=True)
-    def _numba_relax_per_lane(sow, W, maxint, best, arg):
-        B, n = sow.shape
-        for b in _numba.prange(B):
-            for i in range(n):
-                m = maxint
-                a = 0
-                row = W[b, i]
-                for j in range(n):
-                    c = sow[b, j] + row[j]
-                    if c > maxint:
-                        c = maxint
-                    if c < m:
-                        m = c
-                        a = j
-                best[b, i] = m
-                arg[b, i] = a
-
-    def _relax_numba(sow: np.ndarray, W: np.ndarray, maxint: int):
-        B, n = sow.shape
-        best = np.empty((B, n), dtype=np.int64)
-        arg = np.empty((B, n), dtype=np.int64)
-        kernel = _numba_relax_shared if W.ndim == 2 else _numba_relax_per_lane
-        kernel(
-            np.ascontiguousarray(sow),
-            np.ascontiguousarray(W),
-            np.int64(maxint),
-            best,
-            arg,
-        )
-        return best, arg
-
-
 def blocked_relax(sow: np.ndarray, W: np.ndarray, maxint: int):
-    """The compiled tier's relaxation kernel (numba when active, else
-    blocked numpy). Accepts the same shapes as the fused kernel — ``(n,)``
-    or ``(B, n)`` state against ``(n, n)`` or ``(B, n, n)`` weights — and
-    returns bit-identical ``(new_sow, arg)``.
+    """The dense-tile relaxation kernel. Accepts the same shapes as the
+    fused kernel — ``(n,)`` or ``(B, n)`` state against ``(n, n)`` or
+    ``(B, n, n)`` weights — and returns bit-identical ``(new_sow, arg)``.
     """
+    if sow.ndim == 1:
+        best, arg = _relax_numpy_blocked(sow[None, :], W, maxint)
+        return best[0], arg[0]
+    return _relax_numpy_blocked(sow, W, maxint)
+
+
+class EdgeList(NamedTuple):
+    """A shared plane's entries below MAXINT, row-major, as packed keys."""
+
+    #: Column bits of a packed key: ``bit_length(n - 1)``.
+    shift: int
+    #: ``(nnz,)`` column of each entry.
+    cols: np.ndarray
+    #: ``(nnz,)`` packed entry ``(w << shift) | col``.
+    keys: np.ndarray
+    #: Rows with at least one entry, or ``None`` when every row has one.
+    rows: np.ndarray | None
+    #: First entry of each row in ``rows`` (of every row when ``None``).
+    starts: np.ndarray
+
+
+def edge_list(W: np.ndarray, maxint: int) -> EdgeList | None:
+    """The edge list :func:`relax_kernel` relaxes *W* over, or ``None``
+    when the dense tiles run instead.
+
+    ``None`` for a per-lane ``(B, n, n)`` stack, for a plane whose density
+    reaches :data:`EDGE_LIST_MAX_DENSITY`, and when a packed key cannot
+    hold a word sum plus a column index (``word_bits + 1 + s > 63``).
+    """
+    if W.ndim != 2:
+        return None
+    n = int(W.shape[0])
+    shift = (n - 1).bit_length()
+    if int(maxint).bit_length() + 1 + shift > 63:
+        return None
+    mask = W < maxint
+    if np.count_nonzero(mask) >= EDGE_LIST_MAX_DENSITY * n * n:
+        return None
+    flat = np.flatnonzero(mask)
+    row_base = np.arange(0, n * n, n)
+    starts = np.searchsorted(flat, row_base)
+    counts = np.diff(starts, append=flat.size)
+    cols = flat - np.repeat(row_base, counts)
+    keys = (np.ravel(W)[flat] << shift) | cols
+    if counts.all():
+        return EdgeList(shift, cols, keys, None, starts)
+    rows = np.flatnonzero(counts)
+    return EdgeList(shift, cols, keys, rows, starts[rows])
+
+
+def edge_relax(sow: np.ndarray, edges: EdgeList, maxint: int):
+    """One relaxation over *edges* — ``(n,)`` or ``(B, n)`` state — with
+    the dense kernels' ``(new_sow, arg)``, bit for bit."""
     serial = sow.ndim == 1
     sow2 = sow[None, :] if serial else sow
-    if numba_active():  # pragma: no cover - numba-equipped hosts only
-        best, arg = _relax_numba(sow2, W, maxint)
-    else:
-        best, arg = _relax_numpy_blocked(sow2, W, maxint)
+    B, n = sow2.shape
+    shift = edges.shift
+    # Every key at or above this one decodes to MAXINT, and the dense
+    # kernels report (MAXINT, column 0) there: clip onto it. It is also
+    # the key of a row with no entry.
+    saturated = maxint << shift
+    packed = (
+        np.empty((B, n), dtype=np.int64)
+        if edges.rows is None
+        else np.full((B, n), saturated, dtype=np.int64)
+    )
+    nnz = int(edges.cols.size)
+    if nnz:
+        sow_key = sow2 << shift
+        lanes = max(1, _BLOCK_TARGET_BYTES // (8 * nnz))
+        for b0 in range(0, B, lanes):
+            b1 = min(b0 + lanes, B)
+            cand = np.take(sow_key[b0:b1], edges.cols, axis=1)
+            cand += edges.keys
+            row_min = np.minimum.reduceat(cand, edges.starts, axis=1)
+            if edges.rows is None:
+                packed[b0:b1] = row_min
+            else:
+                packed[b0:b1, edges.rows] = row_min
+    np.minimum(packed, saturated, out=packed)
+    best = packed >> shift
+    arg = packed & ((1 << shift) - 1)
     if serial:
         return best[0], arg[0]
     return best, arg
 
 
+def relax_kernel():
+    """A fresh relaxation kernel for one engine call.
+
+    On the first round it sees a plane, it builds that plane's
+    :func:`edge_list` (or settles on the dense tiles) and keeps the choice
+    for the rest of the call. Nothing outlives the kernel object.
+    """
+    plane: np.ndarray | None = None
+    edges: EdgeList | None = None
+
+    def relax(sow: np.ndarray, W: np.ndarray, maxint: int):
+        nonlocal plane, edges
+        if W is not plane:
+            plane, edges = W, edge_list(W, maxint)
+        if edges is None:
+            return blocked_relax(sow, W, maxint)
+        return edge_relax(sow, edges, maxint)
+
+    return relax
+
+
 def compiled_kernel_info() -> dict:
-    """Introspection for docs/CI: which backend the next call uses."""
+    """Introspection for docs/CI: the kernel-selection constants."""
     return {
-        "numba_installed": HAS_NUMBA,
-        "numba_active": numba_active(),
-        "backend": "numba" if numba_active() else "numpy-blocked",
+        "backend": "numpy",
+        "edge_list_max_density": EDGE_LIST_MAX_DENSITY,
         "block_target_bytes": _BLOCK_TARGET_BYTES,
     }
 
@@ -223,7 +298,7 @@ def compiled_minimum_cost_path(
         machine,
         W,
         d,
-        blocked_relax,
+        relax_kernel(),
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
         warm_sow=warm_sow,
@@ -244,14 +319,14 @@ def compiled_batched_minimum_cost_path(
     Same contract as :func:`repro.engine.fused.fused_batched_minimum_cost_path`
     — per-lane SOW/PTN/iterations, batched-stream scalar counters and every
     lane's serial-equivalent ledger bit-identical to the cycle engine —
-    computed through the cache-blocked kernel.
+    computed through the edge-list or dense-tile kernel.
     """
     resolve_engine(machine, "compiled")  # raises EngineError when ineligible
     return run_analytic_batched_mcp(
         machine,
         W,
         destinations,
-        blocked_relax,
+        relax_kernel(),
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
         warm_sow=warm_sow,

@@ -1,4 +1,11 @@
-"""The fused analytic-cost MCP engine.
+"""The fused analytic-cost MCP engine: the whole-array dense reference.
+
+``auto`` never picks this tier — it resolves to
+:mod:`repro.engine.compiled` — but it stays as the explicitly requested
+reference: the
+differential suites compare against it, BENCH_p17/p18 use it as their
+baseline, and rung 3 of the serving tier's degradation ladder falls back
+to it.
 
 One relaxation round of the paper's Section 3 loop — row-``d`` broadcast +
 saturating add, wired-OR minimum, selected-min PTN recovery, diagonal
@@ -33,7 +40,7 @@ it. The differential suite in ``tests/engine/`` pins all of this.
 The control flow (and the counter replay) is shared with the compiled
 tier — see :mod:`repro.engine._loop`; this module contributes only the
 whole-array relaxation kernel. :mod:`repro.engine.compiled` contributes
-the cache-blocked one.
+the edge-list and cache-blocked ones.
 
 Eligibility is the caller's job (:func:`repro.engine.select.resolve_engine`
 — no fault plan, tracer, bus trace, or non-default reduction routines);
@@ -80,7 +87,7 @@ def fused_minimum_cost_path(
 
     Bit-identical to :func:`repro.core.mcp.minimum_cost_path` with
     ``engine="cycle"`` in result *and* counters; callers normally reach it
-    through ``engine="auto"``/``"fused"`` dispatch rather than directly.
+    through ``engine="fused"`` dispatch rather than directly.
     """
     resolve_engine(machine, "fused")  # raises EngineError when ineligible
     return run_analytic_mcp(

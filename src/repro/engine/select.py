@@ -10,32 +10,31 @@ Three engines can run the paper's MCP relaxation loop:
     non-default reduction routines, because those features observe (or
     perturb) *individual* transactions.
 
-``fused``
-    The analytic-cost engine (:mod:`repro.engine.fused`): one relaxation
-    round collapses into a handful of vectorised numpy kernels, and the
-    machine's counters are charged from a per-iteration cost vector
-    *replayed* from a single cycle-engine iteration
-    (:mod:`repro.engine.costs`). Results and **all** counter ledgers are
-    bit-identical to the cycle engine — but per-transaction observers see
-    nothing, which is why eligibility is gated.
-
 ``compiled``
-    The cache-aware tier (:mod:`repro.engine.compiled`): the same
-    analytic-cost replay as ``fused``, but the min-plus relaxation runs as
-    a *blocked* kernel — row tiles sized to stay cache-resident instead of
-    one whole-array temporary — with an optional numba ``@njit`` fast path
-    detected at import (never required; the pure-numpy tiling is always
-    available). Eligibility conditions are identical to ``fused``; the
-    payoff grows with ``n`` (~4-5x over ``fused`` at ``n = 1024``).
+    The analytic-cost engine (:mod:`repro.engine.compiled`): one
+    relaxation round is a vectorised numpy kernel, and the machine's
+    counters are charged from a per-iteration cost vector *replayed* from
+    a single cycle-engine iteration (:mod:`repro.engine.costs`). The
+    kernel is chosen per call by the weight plane's density: an edge-list
+    relaxation for sparse shared planes, cache-blocked dense tiles for
+    dense planes and per-lane stacks. Results and **all** counter ledgers
+    are bit-identical to the cycle engine — but per-transaction observers
+    see nothing, which is why eligibility is gated.
+
+``fused``
+    The whole-array dense reference (:mod:`repro.engine.fused`): the same
+    analytic replay through one ``(..., n, n)`` candidate temporary per
+    round. Only ever run on request — the differential suites and the
+    P17/P18 baselines compare against it, and the serving tier's
+    degradation ladder falls back to it. Eligibility conditions are
+    identical to ``compiled``.
 
 :func:`resolve_engine` implements the policy:
 
-* ``engine="auto"`` (the default everywhere) upgrades to the fastest
-  eligible tier — ``compiled`` on large grids
-  (``n >= COMPILED_AUTO_MIN_N``), ``fused`` below that — and otherwise
-  silently falls back to ``cycle``; existing workflows (fault injection,
-  ``--trace``, profiling, A7/A13 routine ablations) keep their exact
-  behaviour.
+* ``engine="auto"`` (the default everywhere) upgrades to ``compiled`` on
+  every eligible machine and otherwise silently falls back to ``cycle``;
+  existing workflows (fault injection, ``--trace``, profiling, A7/A13
+  routine ablations) keep their exact behaviour.
 * ``engine="cycle"`` always honours the request.
 * ``engine="fused"`` / ``engine="compiled"`` raise
   :class:`~repro.errors.EngineError` with the blocking reason when the
@@ -57,7 +56,6 @@ __all__ = [
     "EngineChoice",
     "ENGINE_NAMES",
     "ENGINE_DEGRADE_ORDER",
-    "COMPILED_AUTO_MIN_N",
     "fused_block_reason",
     "compiled_block_reason",
     "degrade_engine",
@@ -91,13 +89,6 @@ def degrade_engine(name: str) -> str | None:
     if idx + 1 >= len(ENGINE_DEGRADE_ORDER):
         return None
     return ENGINE_DEGRADE_ORDER[idx + 1]
-
-#: Grid side at which ``auto`` prefers the blocked (compiled) kernels over
-#: whole-array fusion. Below this the fused engine's single temporary fits
-#: cache anyway and the tiling loop is pure overhead; above it the blocked
-#: kernels win by keeping each candidate tile L2-resident. Either choice is
-#: bit-identical — this threshold only picks the faster one.
-COMPILED_AUTO_MIN_N = 256
 
 
 @dataclass(frozen=True)
@@ -182,9 +173,7 @@ def compiled_block_reason(
 
     The compiled tier charges the same replayed analytic cost vectors as
     the fused engine and issues no individual bus transactions either, so
-    its eligibility conditions are exactly the fused ones. (numba is an
-    optional fast path, never a requirement — the pure-numpy blocked
-    kernels run everywhere.)
+    its eligibility conditions are exactly the fused ones.
     """
     return fused_block_reason(
         machine,
@@ -227,11 +216,6 @@ def resolve_engine(
     # auto
     if blocked is not None:
         return EngineChoice("cycle", engine, blocked)
-    if machine.n >= COMPILED_AUTO_MIN_N:
-        return EngineChoice(
-            "compiled",
-            engine,
-            f"large grid (n >= {COMPILED_AUTO_MIN_N}): blocked kernels "
-            "beat whole-array fusion",
-        )
-    return EngineChoice("fused", engine, "machine eligible for fused execution")
+    return EngineChoice(
+        "compiled", engine, "machine eligible for analytic execution"
+    )

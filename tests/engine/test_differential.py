@@ -6,6 +6,12 @@ lane's serial-equivalent ledger. These property tests drive both engines
 over random graphs, word widths, lane counts and convergence patterns and
 compare everything. A second group pins *plan-cache independence*: warm or
 cold bus-plan/cost-vector caches never change any ledger.
+
+The generators are shared with ``test_compiled.py``, so they span both of
+the compiled tier's kernels: plane densities on either side of
+``EDGE_LIST_MAX_DENSITY``, tie-heavy ``{1, 2}`` weights, and a word
+(``WIDE_WORD``) whose packed edge-list key fits at the smallest grids and
+overflows at the larger ones.
 """
 
 import numpy as np
@@ -20,15 +26,21 @@ from repro.ppa import PPAConfig, PPAMachine
 from repro.ppa.segments import clear_plan_cache
 
 
+#: Packed edge-list keys need ``word_bits + 1 + bit_length(n - 1) <= 63``:
+#: at this width that holds for ``n <= 4`` and fails from ``n = 5``.
+WIDE_WORD = 60
+
+
 @st.composite
 def graph_case(draw):
-    n = draw(st.integers(2, 9))
-    word_bits = draw(st.sampled_from([10, 12, 16]))
+    n = draw(st.integers(2, 14))
+    word_bits = draw(st.sampled_from([10, 12, 16, WIDE_WORD]))
     maxint = (1 << word_bits) - 1
     density = draw(st.floats(0.0, 1.0))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    W = rng.integers(1, 9, size=(n, n)).astype(np.int64)
+    high = draw(st.sampled_from([3, 9]))  # 3: tie-heavy {1, 2} weights
+    W = rng.integers(1, high, size=(n, n)).astype(np.int64)
     W[rng.random((n, n)) >= density] = maxint
     np.fill_diagonal(W, 0)
     d = draw(st.integers(0, n - 1))
@@ -111,16 +123,17 @@ class TestSerialEquivalence:
 
 @st.composite
 def batched_case(draw):
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, 10))
     B = draw(st.integers(1, 9))
-    word_bits = draw(st.sampled_from([12, 16]))
+    word_bits = draw(st.sampled_from([12, 16, WIDE_WORD]))
     maxint = (1 << word_bits) - 1
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     per_lane = draw(st.booleans())
     shape = (B, n, n) if per_lane else (n, n)
-    W = rng.integers(1, 9, size=shape).astype(np.int64)
-    W[rng.random(shape) >= draw(st.floats(0.1, 1.0))] = maxint
+    high = draw(st.sampled_from([3, 9]))  # 3: tie-heavy {1, 2} weights
+    W = rng.integers(1, high, size=shape).astype(np.int64)
+    W[rng.random(shape) >= draw(st.floats(0.0, 1.0))] = maxint
     if per_lane:
         for b in range(B):
             np.fill_diagonal(W[b], 0)

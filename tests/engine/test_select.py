@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    COMPILED_AUTO_MIN_N,
     ENGINE_NAMES,
     EngineChoice,
     compiled_block_reason,
@@ -75,19 +74,22 @@ class TestResolve:
     def test_auto_upgrades_when_eligible(self, machine8):
         choice = resolve_engine(machine8, "auto")
         assert choice == EngineChoice(
-            "fused", "auto", "machine eligible for fused execution"
+            "compiled", "auto", "machine eligible for analytic execution"
         )
-        assert choice.fused and choice.analytic and not choice.compiled
+        assert choice.compiled and choice.analytic and not choice.fused
 
     def test_auto_prefers_compiled_on_large_grids(self):
-        machine = PPAMachine(PPAConfig(n=COMPILED_AUTO_MIN_N, word_bits=16))
-        choice = resolve_engine(machine, "auto")
-        assert choice.name == "compiled"
-        assert choice.compiled and choice.analytic and not choice.fused
-        assert "large grid" in choice.reason
+        """``auto`` resolves to ``compiled`` at every eligible grid side,
+        large or small; the kernel is chosen later, by the plane's
+        density."""
+        for n in (2, 64, 255, 256, 1024):
+            machine = PPAMachine(PPAConfig(n=n, word_bits=16))
+            choice = resolve_engine(machine, "auto")
+            assert choice.name == "compiled", n
+            assert choice.compiled and choice.analytic and not choice.fused
 
     def test_auto_large_grid_still_falls_back_when_blocked(self):
-        machine = PPAMachine(PPAConfig(n=COMPILED_AUTO_MIN_N, word_bits=16))
+        machine = PPAMachine(PPAConfig(n=256, word_bits=16))
         machine.trace.enabled = True
         choice = resolve_engine(machine, "auto")
         assert choice.name == "cycle" and not choice.analytic
