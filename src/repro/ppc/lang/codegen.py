@@ -394,10 +394,14 @@ class _Compiler:
             self.emit(f"not   r{r}, r{r}")
             return r, True
         if expr.op == "~":
+            # ~x & MAXINT, as the interpreter: the xor alone leaves the
+            # high bits of an operand outside the word (a shifted negative
+            # scalar) set.
             mark = self.reg_top
             t = self.alloc_reg(expr)
             self.emit(f"ldi   r{t}, {self.maxint}")
             self.emit(f"xor   r{r}, r{r}, r{t}")
+            self.emit(f"and   r{r}, r{r}, r{t}")
             self.free_to(mark)
             return r, False
         raise self.err(expr, f"unknown unary operator {expr.op!r}")

@@ -58,6 +58,14 @@ class TestExpressions:
         c, i = both(src)
         assert np.array_equal(c.globals["A"], i.globals["A"])
 
+    def test_bitwise_not_of_negative_word_masks(self):
+        # the shifted scalar -1 reaches "~" at run time, unfolded
+        src = ("parallel int A;"
+               "void main() { A = shift(0 - 1, NORTH); A = ~A; }")
+        c, i = both(src)
+        assert (i.globals["A"] == 0).all()
+        assert np.array_equal(c.globals["A"], i.globals["A"])
+
     def test_constant_folding(self):
         prog = compile_to_asm(
             "parallel int A; void main() { A = (N - 1) * h + MAXINT % 7; }",
