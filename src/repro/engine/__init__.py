@@ -45,8 +45,6 @@ from repro.engine.costs import (
     clear_cost_cache,
     cost_cache_size,
     cost_cache_stats,
-    export_cost_cache,
-    install_cost_cache,
     mcp_cost_vector,
     reset_cost_cache_stats,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "cost_cache_size",
     "cost_cache_stats",
     "reset_cost_cache_stats",
-    "export_cost_cache",
-    "install_cost_cache",
     "fused_minimum_cost_path",
     "fused_batched_minimum_cost_path",
     "EDGE_LIST_MAX_DENSITY",

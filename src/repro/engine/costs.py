@@ -12,33 +12,51 @@ Derivation — replay, not hand-derivation
 ----------------------------------------
 Hand-deriving the constants (``5h + ...`` ALU ops per round, etc.) would
 silently drift the day anyone touches the cycle engine's accounting. So
-the vector is *replayed*: a scratch cycle machine with the **same**
-:class:`~repro.ppa.topology.PPAConfig` runs one tiny deterministic MCP
-under the span tracer, and the ``mcp.init`` / ``mcp.iteration`` span
-counters — exact partitions of the run's totals, by the telemetry
-exactness invariant — become the init and per-iteration deltas. Any
-change to the cycle engine's charging is therefore picked up
+the vector is *replayed*: a scratch cycle machine with the same word
+width, bus-cost model, torus and strict-bus flags runs one tiny
+deterministic MCP under the span tracer, and the ``mcp.init`` /
+``mcp.iteration`` span counters — exact partitions of the run's totals,
+by the telemetry exactness invariant — become the init and per-iteration
+deltas. Any change to the cycle engine's charging is therefore picked up
 automatically, and the differential suite in ``tests/engine/`` pins
 fused == cycle bit-for-bit on every ledger.
 
+The replay never runs on a grid larger than 5 x 5. The do-while body is
+a fixed instruction stream (``h`` bit-serial wired-ORs per ``min()`` plus
+a fixed set of broadcasts), so the grid side ``n`` enters a counter only
+through the LINEAR bus-cost model, which charges a bus transaction in
+proportion to ``n``. The vector for ``n > 5`` is therefore derived from
+replays at ``n = 3, 4, 5`` (:data:`_FIT_SIZES`): the first two fit every
+``init`` and ``iteration`` counter as ``a + b·n`` in exact integers, the
+third must agree with the fit, and the fit is evaluated at ``config.n``.
+The fit assumes nothing about *which* charges scale with ``n``; a charge
+that grows faster than linearly fails the check and raises
+:class:`~repro.errors.EngineError` instead of extrapolating. Configs with
+``n <= 5`` replay at their own size.
+
 Cache key
 ---------
-The vector depends only on the machine configuration (``n`` enters
-through the LINEAR bus-cost model, ``h`` through per-bit loops and
-``bit_cycles`` weighting). It does **not** depend on the lane count
-``B``: a batched machine charges its scalar counters once per SIMD
-instruction — the same increments a serial machine charges — and its
-per-lane ledger replicates those increments into each active lane
-(see :meth:`repro.ppa.machine.PPAMachine._charge`). The fused engine
-therefore applies ``init + iterations[b] * iteration`` per lane and
-``init + rounds * iteration`` to the scalar book, which the differential
-tests verify lane-for-lane against the batched cycle engine. Probes are
-cached in a small LRU keyed on the full (frozen, hashable) config.
+The key is the full (frozen, hashable) :class:`PPAConfig`, although only
+the LINEAR model makes the vector depend on ``n``. The vector does
+**not** depend on the lane count ``B``: a batched machine charges its
+scalar counters once per SIMD instruction — the same increments a serial
+machine charges — and its per-lane ledger replicates those increments
+into each active lane (see :meth:`repro.ppa.machine.PPAMachine._charge`).
+The fused engine therefore applies ``init + iterations[b] * iteration``
+per lane and ``init + rounds * iteration`` to the scalar book, which the
+differential tests verify lane-for-lane against the batched cycle
+engine. Vectors live in a small LRU behind one lock: concurrent lookups
+of a cold config derive it once (single flight), and a forked child
+re-creates the lock and keeps the vectors its parent already derived.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import threading
 from collections import OrderedDict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +66,36 @@ from repro.ppa.topology import PPAConfig
 
 __all__ = [
     "MCPCostVector",
+    "affine_fit",
     "mcp_cost_vector",
     "clear_cost_cache",
     "cost_cache_size",
     "cost_cache_stats",
     "reset_cost_cache_stats",
-    "export_cost_cache",
-    "install_cost_cache",
 ]
 
 _COST_CACHE_SIZE = 32
+#: Grid sides of the constant-size replays: the first two fit each
+#: counter as ``a + b*n``, the third checks the fit.
+_FIT_SIZES = (3, 4, 5)
 _cache: "OrderedDict[PPAConfig, MCPCostVector]" = OrderedDict()
 # Host-side metric (mirrors the bus-plan cache stats convention): never
 # part of the machine cost model or any golden snapshot.
 _stats = {"hits": 0, "misses": 0}
+# Guards _cache and _stats, and is held across a derivation so racing
+# lookups of one cold config derive it once.
+_lock = threading.Lock()
+
+
+def _renew_lock_after_fork() -> None:
+    # A thread of the parent may hold the lock at fork; that thread does
+    # not exist in the child, so the child's copy would never be released.
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_renew_lock_after_fork)
 
 
 @dataclass(frozen=True)
@@ -71,7 +105,7 @@ class MCPCostVector:
     Attributes
     ----------
     config
-        The :class:`PPAConfig` the vector was probed on.
+        The :class:`PPAConfig` the vector was derived for.
     init
         Counter delta of the init phase (statements 4-7 plus the
         directed-graph init transposition), charged once per run.
@@ -79,8 +113,9 @@ class MCPCostVector:
         Counter delta of one full do-while round (statements 9-20),
         charged once per executed round.
     probe_iterations
-        How many rounds the probe workload executed (1 or 2); with two,
-        the per-round constancy was verified directly.
+        How many rounds the replay workload executed (1 or 2; the
+        fewest over the fit's replays); with two, the per-round
+        constancy was verified directly.
     """
 
     config: PPAConfig
@@ -94,6 +129,23 @@ class MCPCostVector:
             k: v + iterations * self.iteration[k]
             for k, v in self.init.items()
         }
+
+
+def affine_fit(
+    samples: Sequence[Mapping[str, int]],
+) -> tuple[dict[str, int], dict[str, int], list[str]]:
+    """Fit ``c(x) = c(x0) + (x - x0) * slope`` to three counter samples.
+
+    *samples* are counter dicts taken at three equally spaced points
+    ``x0``, ``x0 + 1`` and ``x0 + 2`` (in units of the spacing). Returns
+    ``(value, slope, bad)``: the first sample, the per-step slope from
+    the first two, and the counters on which the third sample disagrees
+    with the fit — empty when every counter is affine.
+    """
+    first, second, third = samples
+    slope = {k: second[k] - first[k] for k in first}
+    bad = [k for k in first if third[k] - second[k] != slope[k]]
+    return dict(first), slope, bad
 
 
 def _probe_weights(config: PPAConfig) -> tuple[np.ndarray, int]:
@@ -114,7 +166,7 @@ def _probe_weights(config: PPAConfig) -> tuple[np.ndarray, int]:
     return W, 1
 
 
-def _probe(config: PPAConfig) -> MCPCostVector:
+def _replay(config: PPAConfig) -> MCPCostVector:
     """Run the cycle engine once under the tracer and split its phases."""
     from repro.core.mcp import minimum_cost_path
     from repro.ppa.machine import PPAMachine
@@ -157,66 +209,60 @@ def _probe(config: PPAConfig) -> MCPCostVector:
     )
 
 
+def _probe(config: PPAConfig) -> MCPCostVector:
+    """Derive *config*'s vector from replays on constant-size grids."""
+    if config.n <= _FIT_SIZES[-1]:
+        return _replay(config)
+    small = [_replay(dataclasses.replace(config, n=m)) for m in _FIT_SIZES]
+    steps = config.n - _FIT_SIZES[0]
+    phases: dict[str, dict[str, int]] = {}
+    for phase in ("init", "iteration"):
+        value, slope, bad = affine_fit([getattr(v, phase) for v in small])
+        if bad:
+            raise EngineError(
+                f"{phase} counter(s) {', '.join(bad)} are not affine in "
+                f"the grid side over n = {_FIT_SIZES}; the cost vector "
+                f"cannot be extrapolated to n = {config.n}"
+            )
+        phases[phase] = {k: value[k] + steps * slope[k] for k in value}
+    return MCPCostVector(
+        config=config,
+        init=phases["init"],
+        iteration=phases["iteration"],
+        probe_iterations=min(v.probe_iterations for v in small),
+    )
+
+
 def mcp_cost_vector(config: PPAConfig) -> MCPCostVector:
     """The (cached) exact MCP cost vector for *config*.
 
-    The first call per configuration replays one tiny MCP on a scratch
-    cycle machine (milliseconds, even at ``n = 512``); later calls are a
-    dictionary lookup. The probe may warm the module-wide bus-plan caches
-    exactly as any cycle run would — plan-cache state never affects
-    counters (host-side metric), which ``tests/engine/`` pins.
+    The first call per configuration replays three tiny MCPs on scratch
+    cycle machines of side 3, 4 and 5 (about 20 ms at any ``n``; smaller
+    grids replay once at their own size); later calls are a dictionary
+    lookup. Concurrent first calls for one configuration derive it once:
+    the others wait and hit. The replays may warm the module-wide
+    bus-plan caches exactly as any cycle run would — plan-cache state
+    never affects counters (host-side metric), which ``tests/engine/``
+    pins.
     """
-    vector = _cache.pop(config, None)
-    if vector is not None:
-        _cache[config] = vector  # refresh LRU position
-        _stats["hits"] += 1
+    with _lock:
+        vector = _cache.pop(config, None)
+        if vector is not None:
+            _cache[config] = vector  # refresh LRU position
+            _stats["hits"] += 1
+            return vector
+        _stats["misses"] += 1
+        vector = _probe(config)
+        _cache[config] = vector
+        while len(_cache) > _COST_CACHE_SIZE:
+            _cache.popitem(last=False)
         return vector
-    _stats["misses"] += 1
-    vector = _probe(config)
-    _cache[config] = vector
-    while len(_cache) > _COST_CACHE_SIZE:
-        _cache.popitem(last=False)
-    return vector
-
-
-def export_cost_cache() -> tuple[MCPCostVector, ...]:
-    """Every cached cost vector, oldest-first — a picklable snapshot.
-
-    :class:`MCPCostVector` is a frozen dataclass of a frozen
-    :class:`PPAConfig` plus plain dicts, so the tuple pickles cleanly.
-    The APSP shard runner (:mod:`repro.engine.shard`) probes the parent
-    process once, exports, and ships the vectors to every worker through
-    the pool initializer — workers then *hit* the cache instead of
-    silently re-probing (and re-tracing) per process; the worker-side
-    hit/miss stats are asserted in ``tests/engine/test_shard.py``.
-    """
-    return tuple(_cache.values())
-
-
-def install_cost_cache(vectors) -> None:
-    """Install pre-probed cost vectors (e.g. in a worker process at fork).
-
-    Installation counts as neither hit nor miss — the stats measure lookup
-    traffic, and shipped vectors exist precisely so the first worker
-    lookup is a hit. Unknown objects are rejected loudly: a silently
-    dropped vector would reintroduce the per-worker re-probe this API
-    exists to prevent.
-    """
-    for vector in vectors:
-        if not isinstance(vector, MCPCostVector):
-            raise EngineError(
-                f"install_cost_cache() takes MCPCostVector instances, got "
-                f"{type(vector).__name__}"
-            )
-        _cache.pop(vector.config, None)
-        _cache[vector.config] = vector
-    while len(_cache) > _COST_CACHE_SIZE:
-        _cache.popitem(last=False)
 
 
 def clear_cost_cache() -> None:
     """Drop every cached cost vector (hit/miss stats are kept)."""
-    _cache.clear()
+    with _lock:
+        _cache.clear()
 
 
 def cost_cache_size() -> int:
@@ -226,9 +272,11 @@ def cost_cache_size() -> int:
 
 def cost_cache_stats() -> dict[str, int]:
     """Host-side hit/miss tallies of the cost-vector cache (copy)."""
-    return dict(_stats)
+    with _lock:
+        return dict(_stats)
 
 
 def reset_cost_cache_stats() -> None:
-    _stats["hits"] = 0
-    _stats["misses"] = 0
+    with _lock:
+        _stats["hits"] = 0
+        _stats["misses"] = 0

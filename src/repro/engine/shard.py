@@ -47,10 +47,10 @@ varies with ``lanes=``.
 Cost vectors ride along at fork
 -------------------------------
 The analytic tiers replay counters from per-configuration cost vectors
-(:mod:`repro.engine.costs`). The parent probes its vector **once**,
-exports the cache, and ships it to every worker through the spawn
-payload — workers install it and *hit* on every lookup instead of
-silently re-probing (and re-running a traced cycle MCP) per process. The
+(:mod:`repro.engine.costs`). The parent looks its vector up **once**
+before forking, so every worker inherits the filled cache with the rest
+of the parent's memory and *hits* on every lookup; a worker that missed
+would only re-derive it from three constant-size replays (~20 ms). The
 per-worker hit/miss tallies come back in ``APSPResult.shard_report``.
 
 Eligibility
@@ -89,8 +89,6 @@ import numpy as np
 
 from repro.engine.costs import (
     cost_cache_stats,
-    export_cost_cache,
-    install_cost_cache,
     mcp_cost_vector,
     reset_cost_cache_stats,
 )
@@ -301,18 +299,12 @@ _worker_ctx: dict = {}
 
 
 def _worker_init(payload: dict) -> None:
-    """Install shipped cost vectors and the task spec in a fresh worker.
+    """Install the task spec in a fresh worker.
 
-    The cache is cleared first so the worker's cost vectors are exactly
-    the shipped set (under ``fork`` the parent's cache is inherited — the
-    explicit clear+install keeps the contract identical under ``spawn``),
-    and the stats are reset so the per-worker hit/miss tallies returned to
-    the parent measure only this worker's lookups.
+    The cost-cache stats are reset so the per-worker hit/miss tallies
+    returned to the parent measure only this worker's lookups; the cached
+    vectors themselves are inherited from the parent at fork.
     """
-    from repro.engine.costs import clear_cost_cache
-
-    clear_cost_cache()
-    install_cost_cache(payload["cost_vectors"])
     reset_cost_cache_stats()
     _worker_ctx.clear()
     _worker_ctx.update(payload)
@@ -628,7 +620,7 @@ def sharded_all_pairs(
     # but forwarding the name makes the report unambiguous).
     choice = resolve_engine(machine, engine)
     if choice.analytic:
-        mcp_cost_vector(machine.config)  # probe once here, ship below
+        mcp_cost_vector(machine.config)  # derive once; workers inherit it
 
     timeout = (
         float(shard_timeout) if shard_timeout is not None
@@ -668,7 +660,6 @@ def sharded_all_pairs(
             "lane_cap": lane_cap,
             "max_iterations": max_iterations,
             "fields": fields,
-            "cost_vectors": export_cost_cache(),
             "chaos": dict(_chaos_spec) if _chaos_spec else None,
             "w": w_name,
             "dist": dist_name,

@@ -161,11 +161,6 @@ class PPAMachine:
         #: enabled one only *reads* counters, so counter totals are
         #: identical either way.
         self.telemetry = Tracer(self.counters)
-        n = config.n
-        self._row = np.repeat(
-            np.arange(n, dtype=np.int64)[:, None], n, axis=1
-        )
-        self._col = self._row.T.copy()
         self._mask_stack: list[np.ndarray] = []
         self._faults: FaultPlan | None = None
 
@@ -202,13 +197,19 @@ class PPAMachine:
 
     @property
     def row_index(self) -> np.ndarray:
-        """Read-only ``ROW`` index plane (``row_index[i, j] == i``)."""
-        return self._row.copy()
+        """Fresh ``ROW`` index plane (``row_index[i, j] == i``).
+
+        Built on each access rather than stored: the analytic engines
+        create a machine (and a lane view) per solve and never read it.
+        """
+        n = self.n
+        return np.repeat(np.arange(n, dtype=np.int64)[:, None], n, axis=1)
 
     @property
     def col_index(self) -> np.ndarray:
-        """Read-only ``COL`` index plane (``col_index[i, j] == j``)."""
-        return self._col.copy()
+        """Fresh ``COL`` index plane (``col_index[i, j] == j``)."""
+        n = self.n
+        return np.repeat(np.arange(n, dtype=np.int64)[None, :], n, axis=0)
 
     # ------------------------------------------------------------------
     # Activity masks (PPC where/elsewhere)
@@ -426,7 +427,9 @@ class PPAMachine:
     def bus_or(self, bits, direction: Direction, L) -> np.ndarray:
         """Wired-OR of 1-bit values within each cluster (boolean result)."""
         bits = np.asarray(bits, dtype=bool)
-        return self.bus_reduce(bits, direction, L, "or").astype(bool)
+        return self.bus_reduce(bits, direction, L, "or").astype(
+            bool, copy=False
+        )
 
     def shift(
         self, src, direction: Direction, *, fill=0, torus: bool | None = None
@@ -528,7 +531,14 @@ class PPAMachine:
                 f"bit index {j} outside word of {self.word_bits} bits"
             )
         self.count_alu()
-        return (np.asarray(src, dtype=np.int64) >> j) & 1 == 1
+        src = np.asarray(src)
+        mask = 1 << j
+        # Test in the input's own integer dtype when the mask fits it (a
+        # narrow plane is cheaper to sweep); otherwise widen to int64,
+        # whose two's complement gives negative values their sign bits.
+        if src.dtype.kind not in "iu" or mask > np.iinfo(src.dtype).max:
+            src = src.astype(np.int64)
+        return (src & mask) != 0
 
     # ------------------------------------------------------------------
 

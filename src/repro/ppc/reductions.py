@@ -49,6 +49,9 @@ def _bit_serial_survivors(
     nodes (among the initially enabled ones) holding the minimum value.
     """
     h = machine.word_bits
+    # Bits j < h survive the wrap-around cast, negative and over-word
+    # values included; the narrow copy makes every bit() sweep cheaper.
+    src = src.astype(np.min_scalar_type(machine.maxint))
     enable = enable.copy()
     tele = machine.telemetry
     for j in range(h - 1, -1, -1):

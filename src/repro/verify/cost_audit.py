@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.costs import affine_fit, mcp_cost_vector
 from repro.ppa.isa import Instruction
 from repro.ppa.topology import PPAConfig
 from repro.verify.diagnostics import Report, Severity
@@ -82,11 +83,8 @@ def fit_affine_cost(
         )
         for s in _SCHEDULES
     ]
-    c1, c2, c3 = (r.counters for r in runs)
-    iteration = {k: c2[k] - c1[k] for k in COUNTER_FIELDS}
-    init = {k: c1[k] - iteration[k] for k in COUNTER_FIELDS}
-
-    bad = [k for k in COUNTER_FIELDS if c3[k] - c2[k] != iteration[k]]
+    first, iteration, bad = affine_fit([r.counters for r in runs])
+    init = {k: first[k] - iteration[k] for k in COUNTER_FIELDS}
     if bad:
         d12 = runs[1].pc_counts - runs[0].pc_counts
         d23 = runs[2].pc_counts - runs[1].pc_counts
@@ -133,7 +131,6 @@ def audit_mcp_cost(
     for callers that audit many configurations cheaply.
     """
     from repro.core.asm_mcp import mcp_assembly, minimum_cost_path_asm
-    from repro.engine.costs import mcp_cost_vector
     from repro.ppa.assembler import assemble
     from repro.ppa.machine import PPAMachine
 

@@ -1,4 +1,4 @@
-"""Sharded APSP workers: worker-count invariance, gating, cost shipping.
+"""Sharded APSP workers: worker-count invariance, gating, cost inheritance.
 
 The sharding layer must be invisible in every result a recorded
 experiment could consume: ``dist``/``succ``/``iterations``, the
@@ -14,13 +14,7 @@ import pytest
 
 from repro.core import all_pairs_minimum_cost
 from repro.engine import (
-    MCPCostVector,
-    clear_cost_cache,
-    cost_cache_size,
     destination_shards,
-    export_cost_cache,
-    install_cost_cache,
-    mcp_cost_vector,
     sharded_all_pairs,
     workers_block_reason,
 )
@@ -113,32 +107,8 @@ class TestCostCacheShipping:
         stats = [w["cost_cache"] for w in res.shard_report["worker_stats"]]
         assert len(stats) == 2
         for s in stats:
-            assert s["misses"] == 0, "worker re-probed a shipped cost vector"
+            assert s["misses"] == 0, "worker re-derived an inherited vector"
             assert s["hits"] >= 1
-
-    def test_export_round_trips_through_install(self):
-        config = PPAConfig(n=5, word_bits=12)
-        vector = mcp_cost_vector(config)
-        exported = export_cost_cache()
-        assert vector in exported
-        clear_cost_cache()
-        assert cost_cache_size() == 0
-        install_cost_cache(exported)
-        assert cost_cache_size() == len(exported)
-        assert mcp_cost_vector(config) == vector  # a hit, not a re-probe
-
-    def test_exported_vectors_pickle(self):
-        import pickle
-
-        mcp_cost_vector(PPAConfig(n=4, word_bits=16))
-        exported = export_cost_cache()
-        restored = pickle.loads(pickle.dumps(exported))
-        assert restored == exported
-        assert all(isinstance(v, MCPCostVector) for v in restored)
-
-    def test_install_rejects_foreign_objects(self):
-        with pytest.raises(EngineError, match="MCPCostVector"):
-            install_cost_cache([{"init": {}, "iteration": {}}])
 
 
 class TestGating:

@@ -193,6 +193,29 @@ class TestWordArithmetic:
         assert not machine4.bit(v, 0).any()
         assert machine4.bit(v, 3).all()
 
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            np.array([-1, -2, -(1 << 15), -(1 << 40) - 5]),  # negative
+            np.array([1 << 16, (1 << 17) + 5, (1 << 40) | 0x5A5A, 65535]),
+            np.array([True, False, True, True]),
+            np.array([0, 1, 0x8001, 65535], dtype=np.uint16),
+            np.array([0, 200, 255, 7], dtype=np.uint8),
+            np.array([-1, -128, 127, 3], dtype=np.int8),
+            np.array([3.0, 1.9, 255.0, 1024.0]),
+        ],
+        ids=["negative", "over-word", "bool", "uint16", "uint8", "int8",
+             "float"],
+    )
+    def test_bit_matches_int64_shift(self, machine4, plane):
+        """Testing in the input's own dtype reads the same bit every
+        word-width j as shifting the int64 widening did."""
+        for j in range(machine4.word_bits):
+            want = (np.asarray(plane, dtype=np.int64) >> j) & 1 == 1
+            got = machine4.bit(plane, j)
+            assert got.dtype == bool
+            assert np.array_equal(got, want), j
+
     def test_bit_index_out_of_word(self, machine4):
         with pytest.raises(WordWidthError):
             machine4.bit(machine4.new_parallel(0), 16)

@@ -58,6 +58,28 @@ class TestPpaMin:
         out = ppa_min(m, vals, Direction.EAST, m.col_index == 0)
         assert (out == 1).all()
 
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            # each row's winner by its low h bits is unique: -253 (3)
+            # beats 300 (44) and 50; 256 + 9 (9) beats 10; -1 reads 255
+            np.array([[-253, 300, 50, -1]] * 4),
+            np.array([[(1 << 40) + 7, 300, 10, 256 + 9]] * 4),
+            np.array([[9, 3, 7, 5]] * 4, dtype=np.uint8),
+            np.array([[True, False, True, True]] * 4),
+        ],
+        ids=["negative", "over-word", "uint8", "bool"],
+    )
+    def test_min_by_low_word_bits_delivers_original(self, vals):
+        """Elimination reads bits j < h only; the survivor's own value is
+        delivered, as with the int64 bit reads."""
+        m = machine(h=8)
+        out = ppa_min(m, vals, Direction.WEST, m.col_index == 3)
+        wide = np.asarray(vals, dtype=np.int64)
+        winner = (wide & m.maxint).argmin(axis=1)
+        want = np.repeat(wide[np.arange(4), winner][:, None], 4, axis=1)
+        assert np.array_equal(out, want)
+
     @given(
         st.lists(
             st.lists(st.integers(0, 255), min_size=5, max_size=5),
