@@ -319,14 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-coalesce",
         action="store_true",
-        help="disable request coalescing / single-flight dedup (one "
-        "engine run per request, the pre-coalescing behaviour)",
-    )
-    serve.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip Bellman-fixpoint verification of computed answers "
-        "(forfeits the 0-silent-wrong guarantee; benchmarking only)",
+        help="disable request coalescing / single-flight dedup (each "
+        "column request runs at once as its own one-lane batch)",
     )
 
     lg = sub.add_parser(
@@ -1289,7 +1283,6 @@ def _cmd_serve(args) -> int:
         shard_timeout=args.shard_timeout,
         default_deadline_ms=args.deadline_ms,
         seed=args.seed,
-        verify=not args.no_verify,
         coalesce=not args.no_coalesce,
         coalesce_window_ms=args.coalesce_window_ms,
         max_lanes=args.max_lanes,
@@ -1319,8 +1312,7 @@ def _cmd_serve(args) -> int:
         print(f"repro serve: listening on {host}:{port} "
               f"(max_inflight={config.max_inflight}, "
               f"max_queue={config.max_queue}, workers={config.workers}, "
-              f"coalesce={'on' if config.coalesce else 'OFF'}, "
-              f"verify={'on' if config.verify else 'OFF'})")
+              f"coalesce={'on' if config.coalesce else 'OFF'})")
         try:
             await server.serve_forever()
         finally:

@@ -40,9 +40,7 @@ from repro.serve.coalesce import ColumnCoalescer, CoalesceStats
 from repro.serve.degrade import DegradationLadder, Rung, RUNGS
 from repro.serve.delta import (
     apply_edge_delta,
-    certify_warm_column,
     certify_warm_plane,
-    column_is_dirty,
     decode_edges,
     dirty_destinations,
 )
@@ -81,9 +79,7 @@ __all__ = [
     "ServiceConfig",
     "apply_edge_delta",
     "bellman_reference",
-    "certify_warm_column",
     "certify_warm_plane",
-    "column_is_dirty",
     "decode_edges",
     "decode_line",
     "dirty_destinations",

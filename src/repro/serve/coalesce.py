@@ -26,12 +26,12 @@ in :class:`~repro.serve.service.PathQueryService` (injected here as the
 ``dispatch`` coroutine). All methods run on the event loop.
 
 Waiter futures resolve to a small outcome dict: ``{"status": "ok",
-"payload": {...}}`` with the per-column payload (``sow``/``ptn``/
-``iterations``/``engine``/``degraded``/``batched_with``/``attempts``/
-``queued_ms``), or ``{"status": "shed"|"deadline"|"error", ...}`` when
-the whole batch failed. Per-request deadlines stay per-request: a
-waiter that cannot wait any longer abandons its future (the batch keeps
-computing for the others and still warms the cache).
+"payload": {...}, ...}`` with the column payload (``sow``/``ptn``/
+``iterations``/``engine``) beside ``degraded``/``batched_with``/
+``attempts``/``queued_ms``, or ``{"status": "shed"|"deadline"|"error",
+...}`` when the whole batch failed. Per-request deadlines stay
+per-request: a waiter that cannot wait any longer abandons its future
+(the batch keeps computing for the others and still warms the cache).
 """
 
 from __future__ import annotations

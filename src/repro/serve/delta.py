@@ -5,15 +5,20 @@ the graph. That is wasteful for the common production shape — a large
 graph receiving a trickle of edge updates — because a changed edge
 ``(u, v)`` can only affect destination columns whose *current* answer
 actually routes cost or tree structure through it. This module supplies
-the three pieces the service's delta path is built from:
+the three pieces the service's delta path is built from, all over
+``(n, k)`` planes of cached columns (``dist[x, j]`` is the cost from
+``x`` to the column's destination ``dests[j]``) — the service stacks its
+cached columns into one such plane, and a cached APSP answer already is
+one:
 
 * :func:`apply_edge_delta` — decode the wire form (``[[u, v, w]]``,
   ``w = null`` removes the edge) and produce the new weight grid;
-* :func:`dirty_destinations` — the O(|delta| * n) **conservative-exact**
+* :func:`dirty_destinations` — the O(|delta| * k) **conservative-exact**
   per-column invalidation test (see below);
-* :func:`certify_warm_plane` — turn a stale cached answer into a plane
+* :func:`certify_warm_plane` — turn stale cached answers into a plane
   of *certified* upper bounds that can warm-start the re-solve
-  (:func:`repro.core.mcp.minimum_cost_path`'s ``warm_sow`` contract).
+  (:func:`repro.core.batched.batched_minimum_cost_path`'s ``warm_sow``
+  contract).
 
 Invalidation soundness
 ----------------------
@@ -51,9 +56,7 @@ __all__ = [
     "apply_edge_delta",
     "decode_edges",
     "dirty_destinations",
-    "column_is_dirty",
     "certify_warm_plane",
-    "certify_warm_column",
 ]
 
 
@@ -116,32 +119,19 @@ def _sat(x: np.ndarray, maxint: int) -> np.ndarray:
     return np.minimum(x, maxint)
 
 
-def column_is_dirty(edges, sow: np.ndarray, ptn: np.ndarray,
-                    maxint: int) -> bool:
-    """Whether one cached column can be invalidated by the delta."""
-    sow = np.asarray(sow, dtype=np.int64)
-    ptn = np.asarray(ptn, dtype=np.int64)
-    for u, v, w in edges:
-        through = int(_sat(np.int64(w) + sow[v], maxint))
-        if through < sow[u]:
-            return True  # better first hop out of u than the cached cost
-        if int(ptn[u]) == v and through != sow[u]:
-            return True  # cached tree hops u->v and the telescope broke
-    return False
-
-
 def dirty_destinations(edges, dist: np.ndarray, succ: np.ndarray,
                        maxint: int) -> np.ndarray:
-    """Boolean ``(n,)`` mask of destinations a delta can invalidate.
+    """Boolean ``(k,)`` mask of the cached columns a delta can invalidate.
 
-    Vectorised over a full cached APSP plane (``dist[x, d]`` /
-    ``succ[x, d]`` laid out as in :class:`repro.core.apsp.APSPResult`):
-    one pass of the two per-column tests per changed edge.
+    ``dist``/``succ`` are an ``(n, k)`` plane of cached columns, laid
+    out as in :class:`repro.core.apsp.APSPResult` (a full APSP plane is
+    the ``k = n`` case): one pass of the two per-column tests per
+    changed edge. The test reads no destination index, so any subset
+    of columns stacks.
     """
     dist = np.asarray(dist, dtype=np.int64)
     succ = np.asarray(succ, dtype=np.int64)
-    n = dist.shape[0]
-    dirty = np.zeros(n, dtype=bool)
+    dirty = np.zeros(dist.shape[1], dtype=bool)
     for u, v, w in edges:
         through = _sat(np.int64(w) + dist[v, :], maxint)
         dirty |= through < dist[u, :]
@@ -149,34 +139,22 @@ def dirty_destinations(edges, dist: np.ndarray, succ: np.ndarray,
     return dirty
 
 
-def certify_warm_column(W_new: np.ndarray, sow: np.ndarray,
-                        ptn: np.ndarray, d: int, maxint: int) -> np.ndarray:
-    """Certified upper bounds on distances-to-``d`` under the new grid.
-
-    Walks the *cached* successor tree under the *new* weights: a vertex
-    whose walk telescopes edge costs all the way to ``d`` gets that path
-    cost (an achievable, hence sound, warm-start bound); anything broken
-    by the delta gets ``maxint``. Vectorised: n parallel walkers advance
-    together, accumulating saturated edge costs.
-    """
-    plane = certify_warm_plane(
-        W_new, np.asarray(sow)[:, None], np.asarray(ptn)[:, None],
-        np.asarray([d]), maxint,
-    )
-    return plane[:, 0]
-
-
 def certify_warm_plane(W_new: np.ndarray, dist: np.ndarray,
                        succ: np.ndarray, dests: np.ndarray,
                        maxint: int) -> np.ndarray:
-    """Column-stacked :func:`certify_warm_column` for many destinations.
+    """Certified upper bounds on distances-to-``dests`` under ``W_new``.
 
     ``dist``/``succ`` are ``(n, k)`` stale cached columns for the
     destinations in ``dests``; the result is the ``(n, k)`` certified
-    bound plane (entries are achievable path costs under ``W_new`` or
-    ``maxint``). Only the successor structure of the stale answer is
-    trusted — every cost is re-accumulated from ``W_new``, so the output
-    satisfies the ``warm_sow`` contract no matter how stale the input.
+    bound plane. Each column's *cached* successor tree is walked under
+    the *new* weights: a vertex whose walk telescopes edge costs all the
+    way to its destination gets that path cost (an achievable, hence
+    sound, warm-start bound); anything the delta broke gets ``maxint``.
+    Only the successor structure of the stale answer is trusted — every
+    cost is re-accumulated from ``W_new``, so the output satisfies the
+    ``warm_sow`` contract no matter how stale the input. Vectorised: all
+    ``n * k`` walkers advance together, accumulating saturated edge
+    costs.
     """
     W_new = np.asarray(W_new, dtype=np.int64)
     succ = np.asarray(succ, dtype=np.int64)

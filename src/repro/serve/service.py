@@ -2,14 +2,24 @@
 
 :class:`PathQueryService` is the robustness tentpole in one object — a
 stdlib-``asyncio`` front end over the execution engines that never
-returns an unverified answer. One admitted request flows::
+returns an unverified answer. Every query that misses the cache is a
+batch of destination lanes — a coalesced column batch, an uncoalesced
+column as a one-lane batch dispatched at once, an APSP plane as a batch
+of every destination — and every batch takes the same path::
 
+    point / dest --coalesce on---> ColumnCoalescer (window, single-flight)
+         |                               | one batch per window
+         +--------coalesce off----+      |
+    apsp -------------------------+------+
+                                  v
     admission.acquire()              bounded queue or synchronous shed
-      +-- retry loop ----------------------------------------------+
-      |  ladder.rung_for()           engine / workers / lanes      |
-      |  run in compute thread       minimum_cost_path / APSP      |
-      |  oracle.verify_*()           Bellman-fixpoint proof        |
-      |  fail -> record_failure, backoff (jittered), rung below    |
+      +-- attempt loop ---------------------------------------------+
+      |  ladder.rung_for()           engine / workers / lanes       |
+      |  plan(rung)                  the attempt's work (+ breaker) |
+      |  run in compute thread       lane-chunked column solver, or |
+      |                              the (sharded) APSP sweep       |
+      |  oracle.verify_*()           Bellman-fixpoint proof         |
+      |  fail -> record_failure, backoff (jittered), rung below     |
       +-------------------------------------------------------------+
     verified answer (possibly stamped ``degraded``) or
     ``deadline`` / ``error`` — never a wrong result
@@ -43,7 +53,8 @@ import numpy as np
 from repro.core.apsp import all_pairs_minimum_cost
 from repro.core.batched import batched_minimum_cost_path
 from repro.core.graph import normalize_weights
-from repro.core.mcp import minimum_cost_path
+# no caller here (a column is a one-lane batch); perfbench/layers.py rebinds it
+from repro.core.mcp import minimum_cost_path  # noqa: F401
 from repro.engine.costs import cost_cache_size, cost_cache_stats
 from repro.engine.select import fused_block_reason
 from repro.errors import ConfigurationError, GraphError, ReproError
@@ -63,9 +74,7 @@ from repro.serve.coalesce import ColumnCoalescer
 from repro.serve.degrade import DegradationLadder, Rung, RUNGS
 from repro.serve.delta import (
     apply_edge_delta,
-    certify_warm_column,
     certify_warm_plane,
-    column_is_dirty,
     decode_edges,
     dirty_destinations,
 )
@@ -108,8 +117,10 @@ class ServiceConfig:
     column_cache: int = 2048
     apsp_cache: int = 8
     #: coalesce concurrent column requests into lane-batched engine runs
-    #: (:mod:`repro.serve.coalesce`). Off restores the one-request-per-
-    #: engine-run PR 8 behaviour (the benchmark's control arm).
+    #: (:mod:`repro.serve.coalesce`). Off sends each request through the
+    #: same admission step and attempt loop as a one-lane batch,
+    #: dispatched at once: no window, no single-flight (the benchmark's
+    #: control arm).
     coalesce: bool = True
     #: how long a coalescing batch collects before dispatching (ms).
     coalesce_window_ms: float = 2.0
@@ -122,14 +133,11 @@ class ServiceConfig:
     resilient_spares: int = 2
     #: resilient-executor policy for the bottom rung.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: seed for the retry-jitter RNG (determinism in tests/chaos).
+    #: seed for the retry-jitter RNG; with the graph version and the
+    #: destinations it fixes every backoff delay, in any process.
     seed: int = 0
     #: per-request telemetry spans kept for profile export.
     keep_request_spans: int = 256
-    #: verify every computed answer against the Bellman fixpoint before
-    #: serving. Leave on: this is the "0 silent-wrong" guarantee. The
-    #: switch exists only so the SLO benchmark can price the check.
-    verify: bool = True
     #: breaker/monotonic clock (injectable for tests).
     clock: Callable[[], float] = time.monotonic
 
@@ -184,6 +192,20 @@ class _AnswerRejected(ReproError):
 class _ComputeFailed(ReproError):
     """An attempt failed before producing an answer (crash, fault,
     resilience budget exhausted...)."""
+
+
+@dataclass
+class _Attempt:
+    """One attempt's work, planned on the event loop for its rung."""
+
+    #: the compute-thread callable; returns the verified payload.
+    work: Callable[[], Any]
+    #: APSP shard workers the attempt uses (1 = inline).
+    workers: int = 1
+    #: the attempt is a half-open breaker's trial of the worker pool.
+    probing: bool = False
+    #: extra ``serve.attempt`` span attributes.
+    attrs: dict = field(default_factory=dict)
 
 
 class PathQueryService:
@@ -478,14 +500,15 @@ class PathQueryService:
         """Incremental ``put_graph``: apply a sparse edge delta.
 
         Bumps the graph version, then *migrates* instead of dropping
-        cached work: columns the delta provably cannot have changed
-        (:func:`repro.serve.delta.column_is_dirty`) are re-keyed to the
-        new version verbatim; dirtied columns leave behind a certified
-        warm-start seed so their re-solve starts from near-converged
-        bounds. A cached APSP plane is split the same way —
-        :func:`dirty_destinations` picks the columns to re-solve, and a
-        salvage record lets the next ``apsp`` request recompute only
-        those lanes (warm-started), splicing them into the kept plane.
+        cached work. The graph's cached columns are stacked into one
+        ``(n, k)`` plane: columns the delta provably cannot have changed
+        (:func:`repro.serve.delta.dirty_destinations`) are re-keyed to
+        the new version verbatim; dirtied columns leave behind a
+        certified warm-start seed (:func:`certify_warm_plane`) so their
+        re-solve starts from near-converged bounds. A cached APSP plane
+        is split the same way, and a salvage record lets the next
+        ``apsp`` request recompute only the dirtied lanes
+        (warm-started), splicing them into the kept plane.
         """
         g = self._graph(req)
         if req.base_version is not None and req.base_version != g.version:
@@ -504,22 +527,26 @@ class PathQueryService:
         # unlike a full replace, graph health history stays: the content
         # is mostly the same machine-shaped problem
 
-        kept = 0
+        cached = [d for d in range(g.n)
+                  if (g.name, g.version, d) in self._columns]
+        entries = [self._columns.pop((g.name, g.version, d))
+                   for d in cached]
         dirtied = 0
-        for d in range(g.n):
-            key = (g.name, g.version, d)
-            entry = self._columns.pop(key, None)
-            if entry is None:
-                continue
-            if not column_is_dirty(edges, entry["sow"], entry["ptn"],
-                                   g.maxint):
-                self._columns[(g.name, new.version, d)] = entry
-                kept += 1
-            else:
-                self._warm[(g.name, new.version, d)] = certify_warm_column(
-                    W_new, entry["sow"], entry["ptn"], d, g.maxint
-                )
-                dirtied += 1
+        if entries:
+            sow = np.stack([e["sow"] for e in entries], axis=1)
+            ptn = np.stack([e["ptn"] for e in entries], axis=1)
+            dirty = dirty_destinations(edges, sow, ptn, g.maxint)
+            dirty_idx = np.flatnonzero(dirty)
+            dirtied = int(dirty_idx.size)
+            for i in np.flatnonzero(~dirty):
+                self._columns[(g.name, new.version, cached[i])] = entries[i]
+            warm = certify_warm_plane(
+                W_new, sow[:, dirty_idx], ptn[:, dirty_idx],
+                np.asarray(cached)[dirty_idx], g.maxint,
+            )
+            for j, i in enumerate(dirty_idx):
+                self._warm[(g.name, new.version, cached[i])] = warm[:, j]
+        kept = len(entries) - dirtied
         while len(self._warm) > self.config.column_cache:
             self._warm.popitem(last=False)
 
@@ -634,42 +661,28 @@ class PathQueryService:
             response.timing["queued_ms"] = 0.0
             return response
 
-        if self._coalescer is not None and req.op in ("point", "dest"):
+        if req.op == "apsp":
+            outcome = await self._execute(
+                g, "apsp", list(range(g.n)),
+                functools.partial(self._plan_apsp, g), span, t0, deadline_at,
+            )
+        elif self._coalescer is not None:
             return await self._query_coalesced(req, g, deadline_at, t0,
                                                span)
-
-        # -- admission ------------------------------------------------
-        try:
-            remaining = deadline_at - self.config.clock()
-            if remaining <= 0:
-                raise asyncio.TimeoutError
-            await asyncio.wait_for(self.admission.acquire(),
-                                   timeout=remaining)
-        except asyncio.TimeoutError:
-            return Response(
-                id=req.id, status="deadline", op=req.op,
-                error="deadline expired while queued for admission",
-                timing={"queued_ms": round(
-                    (self.config.clock() - t0) * 1e3, 3)},
+        else:
+            # a one-lane batch dispatched at once: no window, no
+            # single-flight
+            dest = int(req.dest)
+            outcome = await self._execute(
+                g, "columns", [dest],
+                functools.partial(self._plan_columns, g, [dest], False),
+                span, t0, deadline_at,
             )
-        except QueueFull as exc:
-            return Response(
-                id=req.id, status="shed", op=req.op,
-                error="admission queue full",
-                retry_after_ms=round(exc.retry_after_ms, 3),
-            )
-        queued_ms = round((self.config.clock() - t0) * 1e3, 3)
-
-        release_inline = True
-        try:
-            response, release_inline = await self._admitted(
-                req, g, deadline_at, span
-            )
-            response.timing["queued_ms"] = queued_ms
-            return response
-        finally:
-            if release_inline:
-                self.admission.release()
+            if outcome["status"] == "ok":
+                outcome["payload"] = outcome["payload"][dest]
+        return self._respond(req, g, outcome, {
+            k: outcome[k] for k in ("attempts", "queued_ms") if k in outcome
+        })
 
     async def _query_coalesced(self, req: Request, g: _Graph,
                                deadline_at: float, t0: float,
@@ -709,39 +722,43 @@ class PathQueryService:
         wait.end = self.config.clock() - self._epoch
         wait.attrs["outcome"] = outcome["status"]
         if outcome["status"] == "ok":
-            payload = outcome["payload"]
-            response = self._answer(req, g, payload,
-                                    payload.get("degraded"))
-            response.timing["queued_ms"] = payload.get("queued_ms", 0.0)
-            response.timing["attempts"] = payload.get("attempts", 1)
-            response.timing["batched_with"] = payload.get(
-                "batched_with", 1)
+            timing = {"queued_ms": outcome["queued_ms"],
+                      "attempts": outcome["attempts"],
+                      "batched_with": outcome["batched_with"]}
             if joined:
-                response.timing["single_flight"] = True
-            return response
-        if outcome["status"] == "shed":
-            return Response(
+                timing["single_flight"] = True
+        elif outcome["status"] == "shed":
+            timing = {}
+        else:
+            timing = {"attempts": outcome.get("attempts", 1)}
+        return self._respond(req, g, outcome, timing)
+
+    def _respond(self, req: Request, g: _Graph, outcome: dict,
+                 timing: dict) -> Response:
+        """The response for one outcome of :meth:`_execute`."""
+        status = outcome["status"]
+        if status == "ok":
+            response = self._answer(req, g, outcome["payload"],
+                                    outcome["degraded"])
+        elif status == "shed":
+            response = Response(
                 id=req.id, status="shed", op=req.op,
                 error="admission queue full",
                 retry_after_ms=outcome.get("retry_after_ms"),
             )
-        if outcome["status"] == "deadline":
-            return Response(
-                id=req.id, status="deadline", op=req.op,
-                error=outcome.get("message", "deadline expired"),
-                timing={"attempts": outcome.get("attempts", 1)},
+        else:
+            response = Response(
+                id=req.id, status=status, op=req.op,
+                error=outcome.get("message", "coalesced batch failed"),
             )
-        return Response(
-            id=req.id, status="error", op=req.op,
-            error=outcome.get("message", "coalesced batch failed"),
-            timing={"attempts": outcome.get("attempts", 1)},
-        )
+        response.timing.update(timing)
+        return response
 
     async def _dispatch_columns(self, g: _Graph,
                                 waiters: "dict[int, asyncio.Future]",
                                 deadline_at: float) -> None:
-        """Admission + retry loop for one coalesced batch (the
-        :class:`ColumnCoalescer`'s dispatch callback).
+        """The :class:`ColumnCoalescer`'s dispatch callback: one batch,
+        one lane per waiting destination, through :meth:`_execute`.
 
         The whole batch consumes **one** admission slot, weighted by its
         lane count in the admission statistics. Never raises — every
@@ -752,320 +769,220 @@ class PathQueryService:
         })
         batch_span.start = t0 - self._epoch
         self._spans.append(batch_span)
+        dests = sorted(waiters)
+        try:
+            outcome = await self._execute(
+                g, "columns", dests,
+                functools.partial(self._plan_columns, g, dests, True),
+                batch_span, t0, deadline_at, weight=len(dests),
+            )
+        except Exception as exc:  # never leave a waiter hanging
+            outcome = {"status": "error",
+                       "message": f"internal error: {exc!r}"}
+        else:
+            batch_span.attrs["status"] = outcome["status"]
+        finally:
+            batch_span.end = self.config.clock() - self._epoch
+        for d, fut in waiters.items():
+            if fut.done():
+                continue
+            if outcome["status"] == "ok":
+                fut.set_result({**outcome, "payload": outcome["payload"][d],
+                                "batched_with": len(dests)})
+            else:
+                fut.set_result(outcome)
 
-        def _resolve_all(outcome: dict) -> None:
-            for fut in waiters.values():
-                if not fut.done():
-                    fut.set_result(outcome)
+    async def _execute(self, g: _Graph, op: str, dests: list,
+                       plan: Callable[[Rung, list], _Attempt], span: Span,
+                       t0: float, deadline_at: float, weight: int = 1
+                       ) -> dict:
+        """Admission, then the retry/degradation loop, for one batch.
 
+        Every query that misses the cache runs here: a coalesced column
+        batch, an uncoalesced column as a one-lane batch, or an APSP
+        plane (``op == "apsp"``, every destination). ``plan(rung,
+        notes)`` builds each attempt on the event loop; its work runs in
+        a compute thread and returns a verified payload (dest -> column,
+        or the APSP plane), which is cached before this returns.
+        Attempt spans are children of *span*; ``queued_ms`` counts from
+        *t0*.
+
+        Returns an outcome dict: ``status`` (``ok``, ``shed``,
+        ``deadline`` or ``error``) plus whichever of ``payload``,
+        ``degraded``, ``attempts``, ``queued_ms``, ``message`` and
+        ``retry_after_ms`` apply. The admission slot is released before
+        returning unless an abandoned compute thread still owns it; a
+        reaper task releases it when the thread finishes.
+        """
         try:
             remaining = deadline_at - self.config.clock()
             if remaining <= 0:
                 raise asyncio.TimeoutError
-            await asyncio.wait_for(
-                self.admission.acquire(weight=len(waiters)),
-                timeout=remaining,
-            )
+            await asyncio.wait_for(self.admission.acquire(weight=weight),
+                                   timeout=remaining)
         except asyncio.TimeoutError:
-            batch_span.end = self.config.clock() - self._epoch
-            batch_span.attrs["status"] = "deadline"
-            _resolve_all({"status": "deadline", "message":
-                          "deadline expired while queued for admission"})
-            return
+            return {"status": "deadline",
+                    "message": "deadline expired while queued for admission",
+                    "queued_ms": round((self.config.clock() - t0) * 1e3, 3)}
         except QueueFull as exc:
-            batch_span.end = self.config.clock() - self._epoch
-            batch_span.attrs["status"] = "shed"
-            _resolve_all({"status": "shed",
-                          "retry_after_ms": round(exc.retry_after_ms, 3)})
-            return
+            return {"status": "shed",
+                    "retry_after_ms": round(exc.retry_after_ms, 3)}
         queued_ms = round((self.config.clock() - t0) * 1e3, 3)
 
+        loop = asyncio.get_running_loop()
+        # a stable digest, not hash(): str hashes differ per process, and
+        # config.seed must replay the same backoff delays anywhere
+        key = repr((self.config.seed, g.name, g.version, op, dests))
+        rng = np.random.default_rng(int.from_bytes(
+            hashlib.blake2b(key.encode(), digest_size=8).digest(), "little"))
+        floor: Rung | None = None
+        attempt = 0
+        last_failure = "no attempt ran"
         release_inline = True
+
+        def finish(status: str, **fields: Any) -> dict:
+            return {"status": status, "attempts": attempt,
+                    "queued_ms": queued_ms, **fields}
+
         try:
-            release_inline = await self._batch_admitted(
-                g, waiters, deadline_at, queued_ms, batch_span
-            )
-        except Exception as exc:  # never leave a waiter hanging
-            _resolve_all({"status": "error",
-                          "message": f"internal error: {exc!r}"})
+            while True:
+                rung, reasons = self.ladder.rung_for(
+                    g.name,
+                    pressure=self.admission.pressure,
+                    breaker_open=self.breaker.state is BreakerState.OPEN,
+                )
+                if floor is not None and floor.index > rung.index:
+                    rung = floor
+                    reasons.append(f"in-request retry after: {last_failure}")
+                notes: list[str] = []
+                step = plan(rung, notes)
+
+                attempt_span = Span("serve.attempt", {
+                    "rung": rung.index, "engine": rung.engine,
+                    "workers": step.workers, "attempt": attempt,
+                    **step.attrs,
+                })
+                attempt_span.start = self.config.clock() - self._epoch
+                span.children.append(attempt_span)
+                attempt += 1
+
+                future = loop.run_in_executor(self._threads(), step.work)
+                remaining = deadline_at - self.config.clock()
+                failure: str | None = None
+                payload: Any = None
+                try:
+                    if remaining <= 0:
+                        raise asyncio.TimeoutError
+                    payload = await asyncio.wait_for(asyncio.shield(future),
+                                                     timeout=remaining)
+                except asyncio.TimeoutError:
+                    attempt_span.end = self.config.clock() - self._epoch
+                    attempt_span.attrs["outcome"] = "deadline"
+                    release_inline = future.done()
+                    if not release_inline:
+                        self.counters["abandoned"] += 1
+                        reaper = asyncio.ensure_future(self._reap(future))
+                        self._reapers.add(reaper)
+                        reaper.add_done_callback(self._reapers.discard)
+                    return finish("deadline",
+                                  message="deadline expired during compute")
+                except _AnswerRejected as exc:
+                    self.counters["verify_rejections"] += 1
+                    failure = f"verification rejected the answer: {exc}"
+                except (ReproError, RuntimeError, ValueError) as exc:
+                    failure = f"{type(exc).__name__}: {exc}"
+                attempt_span.end = self.config.clock() - self._epoch
+
+                if step.probing or (step.workers > 1 and payload is not None):
+                    shard_failures = (payload or {}).get("shard_failures", 0)
+                    if failure is not None or shard_failures:
+                        self.breaker.record_failure(
+                            failure or f"{shard_failures} shard failure(s)"
+                        )
+                        if shard_failures:
+                            notes.append(
+                                f"worker pool absorbed {shard_failures} "
+                                "shard failure(s)"
+                            )
+                    else:
+                        self.breaker.record_success()
+
+                if failure is None:
+                    attempt_span.attrs["outcome"] = "ok"
+                    self.ladder.record_success(g.name)
+                    degraded = None
+                    if rung.index > 0 or reasons or notes:
+                        degraded = rung.record(reasons + notes, step.workers)
+                    if op == "apsp":
+                        self._store_apsp(g, payload, degraded)
+                    else:
+                        for d in dests:
+                            self._store_column(g, d, payload[d], degraded)
+                    return finish("ok", payload=payload, degraded=degraded)
+
+                # -- failed attempt -----------------------------------
+                attempt_span.attrs["outcome"] = failure
+                last_failure = failure
+                self.ladder.record_failure(g.name, rung, failure)
+                floor = self.ladder.rung_below(rung)
+                # the ladder has finite depth and the backoff a finite
+                # retry budget: together they bound the attempts
+                exhausted = attempt >= (self.config.backoff.max_attempts
+                                        + len(RUNGS))
+                if exhausted or (floor is None and
+                                 attempt > self.config.backoff.max_attempts):
+                    return finish("error", message=(
+                        "degradation ladder exhausted; last failure: "
+                        + failure))
+                self.counters["retries"] += 1
+                delay = self.config.backoff.delay(attempt, rng)
+                if self.config.clock() + delay >= deadline_at:
+                    return finish("deadline", message=(
+                        "deadline would expire during retry backoff; "
+                        "last failure: " + failure))
+                if delay > 0:
+                    await asyncio.sleep(delay)
         finally:
-            batch_span.end = self.config.clock() - self._epoch
             if release_inline:
                 self.admission.release()
 
-    async def _batch_admitted(self, g: _Graph,
-                              waiters: "dict[int, asyncio.Future]",
-                              deadline_at: float, queued_ms: float,
-                              batch_span: Span) -> bool:
-        """The retry/degradation loop for one admitted coalesced batch.
-
-        Mirrors :meth:`_admitted` lane-wise: same ladder, backoff and
-        abandonment semantics, one batched engine run per attempt.
-        Returns ``release_inline`` — False when an abandoned compute
-        thread still owns the batch's admission slot."""
-        loop = asyncio.get_running_loop()
-        dests = sorted(waiters)
-        rng = np.random.default_rng(
-            self.config.seed
-            ^ (hash(("batch", g.name, g.version, tuple(dests)))
-               & 0xFFFF_FFFF)
+    def _plan_columns(self, g: _Graph, dests: list, batched: bool,
+                      rung: Rung, notes: list) -> _Attempt:
+        """A column batch's attempt at *rung*: the lane-chunked solve of
+        ``dests``, warm-started wherever a delta left a certified seed.
+        Only coalesced batches tag their attempt spans with lanes and
+        width."""
+        width = rung.coalesce_width(g.n, self.config.max_lanes)
+        # snapshot the seeds on the event loop; compute threads must not
+        # touch service state
+        seeds = [self._warm.get((g.name, g.version, d)) for d in dests]
+        return _Attempt(
+            functools.partial(self._compute_columns, g, dests, rung, notes,
+                              seeds, width),
+            attrs={"lanes": len(dests), "width": width} if batched else {},
         )
-        # snapshot certified warm seeds on the event loop; compute
-        # threads must not touch service state
-        seeds = {d: self._warm.get((g.name, g.version, d)) for d in dests}
-        floor: Rung | None = None
-        attempt = 0
-        last_failure = "no attempt ran"
 
-        def _resolve_all(outcome: dict) -> None:
-            for fut in waiters.values():
-                if not fut.done():
-                    fut.set_result(outcome)
-
-        while True:
-            rung, reasons = self.ladder.rung_for(
-                g.name,
-                pressure=self.admission.pressure,
-                breaker_open=self.breaker.state is BreakerState.OPEN,
-            )
-            if floor is not None and floor.index > rung.index:
-                rung = floor
-                reasons.append(f"in-request retry after: {last_failure}")
-            notes: list[str] = []
-            width = rung.coalesce_width(g.n, self.config.max_lanes)
-
-            attempt_span = Span("serve.attempt", {
-                "rung": rung.index, "engine": rung.engine,
-                "workers": 1, "attempt": attempt,
-                "lanes": len(dests), "width": width,
-            })
-            attempt_span.start = self.config.clock() - self._epoch
-            batch_span.children.append(attempt_span)
-
-            work = functools.partial(self._compute_columns, g, dests,
-                                     rung, notes, seeds, width)
-            future = loop.run_in_executor(self._threads(), work)
-            remaining = deadline_at - self.config.clock()
-            failure: str | None = None
-            payloads = None
-            try:
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                payloads = await asyncio.wait_for(asyncio.shield(future),
-                                                  timeout=remaining)
-            except asyncio.TimeoutError:
-                attempt_span.end = self.config.clock() - self._epoch
-                attempt_span.attrs["outcome"] = "deadline"
-                batch_span.attrs["status"] = "deadline"
-                release_inline = future.done()
-                if not release_inline:
-                    self.counters["abandoned"] += 1
-                    reaper = asyncio.ensure_future(self._reap(future))
-                    self._reapers.add(reaper)
-                    reaper.add_done_callback(self._reapers.discard)
-                _resolve_all({"status": "deadline",
-                              "message": "deadline expired during compute",
-                              "attempts": attempt + 1})
-                return release_inline
-            except _AnswerRejected as exc:
-                self.counters["verify_rejections"] += 1
-                failure = f"verification rejected the answer: {exc}"
-            except (ReproError, RuntimeError, ValueError) as exc:
-                failure = f"{type(exc).__name__}: {exc}"
-            attempt_span.end = self.config.clock() - self._epoch
-
-            if failure is None:
-                attempt_span.attrs["outcome"] = "ok"
-                batch_span.attrs["status"] = "ok"
-                self.ladder.record_success(g.name)
-                degraded = None
-                if rung.index > 0 or reasons or notes:
-                    degraded = rung.record(reasons + notes, 1)
-                for d in dests:
-                    self._store_column(g, d, payloads[d], degraded)
-                    payload = dict(payloads[d])
-                    payload["degraded"] = degraded
-                    payload["batched_with"] = len(dests)
-                    payload["attempts"] = attempt + 1
-                    payload["queued_ms"] = queued_ms
-                    fut = waiters[d]
-                    if not fut.done():
-                        fut.set_result({"status": "ok",
-                                        "payload": payload})
-                return True
-
-            # -- failed attempt ---------------------------------------
-            attempt_span.attrs["outcome"] = failure
-            last_failure = failure
-            self.ladder.record_failure(g.name, rung, failure)
-            floor = self.ladder.rung_below(rung)
-            attempt += 1
-            exhausted = attempt >= (self.config.backoff.max_attempts
-                                    + len(RUNGS))
-            if exhausted or (floor is None
-                             and attempt > self.config.backoff.max_attempts):
-                batch_span.attrs["status"] = "error"
-                _resolve_all({
-                    "status": "error",
-                    "message": ("degradation ladder exhausted; last "
-                                "failure: " + failure),
-                    "attempts": attempt,
-                })
-                return True
-            self.counters["retries"] += 1
-            delay = self.config.backoff.delay(attempt, rng)
-            if self.config.clock() + delay >= deadline_at:
-                batch_span.attrs["status"] = "deadline"
-                _resolve_all({
-                    "status": "deadline",
-                    "message": ("deadline would expire during retry "
-                                "backoff; last failure: " + failure),
-                    "attempts": attempt,
-                })
-                return True
-            if delay > 0:
-                await asyncio.sleep(delay)
-
-    async def _admitted(self, req: Request, g: _Graph, deadline_at: float,
-                        span: Span) -> tuple[Response, bool]:
-        """The retry/degradation loop for one admitted request.
-
-        Returns ``(response, release_inline)`` — ``release_inline`` is
-        False when an abandoned compute thread still owns the admission
-        slot (a reaper task releases it when the thread finishes).
-        """
-        loop = asyncio.get_running_loop()
-        rng = np.random.default_rng(self.config.seed
-                                    ^ (hash(str(req.id)) & 0xFFFF_FFFF))
-        floor: Rung | None = None
-        attempt = 0
-        last_failure = "no attempt ran"
-        while True:
-            rung, reasons = self.ladder.rung_for(
-                g.name,
-                pressure=self.admission.pressure,
-                breaker_open=self.breaker.state is BreakerState.OPEN,
-            )
-            if floor is not None and floor.index > rung.index:
-                rung = floor
-                reasons.append(f"in-request retry after: {last_failure}")
-            notes: list[str] = []
-
-            # snapshot any salvage plane on the event loop; the compute
-            # thread must not read mutable service state. An available
-            # incremental re-solve beats spinning up the worker pool.
-            salvage = None
-            if req.op == "apsp" and not rung.resilient:
-                salvage = self._apsp_salvage.get((g.name, g.version))
-            workers = 1
-            probing = False
-            if (req.op == "apsp" and salvage is None and rung.use_workers
-                    and self.config.workers > 1):
-                if self.breaker.allow():
-                    workers = self.config.workers
-                    probing = self.breaker.state is BreakerState.HALF_OPEN
-                else:
-                    notes.append("worker-pool breaker open (inline sweep)")
-
-            attempt_span = Span("serve.attempt", {
-                "rung": rung.index, "engine": rung.engine,
-                "workers": workers, "attempt": attempt,
-            })
-            attempt_span.start = self.config.clock() - self._epoch
-            span.children.append(attempt_span)
-
-            if req.op == "apsp":
-                work = functools.partial(self._compute_apsp, g, rung,
-                                         workers, notes, salvage)
+    def _plan_apsp(self, g: _Graph, rung: Rung, notes: list) -> _Attempt:
+        """An APSP attempt at *rung*: the incremental re-solve of a
+        salvage plane when one is waiting (it beats spinning up the
+        worker pool), else the full sweep — on the worker pool when the
+        rung and the breaker allow it."""
+        salvage = None
+        if not rung.resilient:
+            # snapshot on the event loop, like the column seeds
+            salvage = self._apsp_salvage.get((g.name, g.version))
+        workers, probing = 1, False
+        if salvage is None and rung.use_workers and self.config.workers > 1:
+            if self.breaker.allow():
+                workers = self.config.workers
+                probing = self.breaker.state is BreakerState.HALF_OPEN
             else:
-                work = functools.partial(self._compute_column, g,
-                                         int(req.dest), rung, notes)
-            future = loop.run_in_executor(self._threads(), work)
-            remaining = deadline_at - self.config.clock()
-            failure: str | None = None
-            payload = None
-            try:
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                payload = await asyncio.wait_for(asyncio.shield(future),
-                                                 timeout=remaining)
-            except asyncio.TimeoutError:
-                attempt_span.end = self.config.clock() - self._epoch
-                attempt_span.attrs["outcome"] = "deadline"
-                release_inline = future.done()
-                if not release_inline:
-                    self.counters["abandoned"] += 1
-                    reaper = asyncio.ensure_future(self._reap(future))
-                    self._reapers.add(reaper)
-                    reaper.add_done_callback(self._reapers.discard)
-                return Response(
-                    id=req.id, status="deadline", op=req.op,
-                    error="deadline expired during compute",
-                    timing={"attempts": attempt + 1},
-                ), release_inline
-            except _AnswerRejected as exc:
-                self.counters["verify_rejections"] += 1
-                failure = f"verification rejected the answer: {exc}"
-            except (ReproError, RuntimeError, ValueError) as exc:
-                failure = f"{type(exc).__name__}: {exc}"
-            attempt_span.end = self.config.clock() - self._epoch
-
-            if probing or (workers > 1 and payload is not None):
-                shard_failures = (payload or {}).get("shard_failures", 0)
-                if failure is not None or shard_failures:
-                    self.breaker.record_failure(
-                        failure or f"{shard_failures} shard failure(s)"
-                    )
-                    if shard_failures:
-                        notes.append(
-                            f"worker pool absorbed {shard_failures} "
-                            "shard failure(s)"
-                        )
-                else:
-                    self.breaker.record_success()
-
-            if failure is None:
-                attempt_span.attrs["outcome"] = "ok"
-                self.ladder.record_success(g.name)
-                degraded = None
-                if rung.index > 0 or reasons or notes:
-                    degraded = rung.record(reasons + notes, workers)
-                self._cache_store(req, g, payload, degraded)
-                response = self._answer(req, g, payload, degraded)
-                response.timing["attempts"] = attempt + 1
-                return response, True
-
-            # -- failed attempt ---------------------------------------
-            attempt_span.attrs["outcome"] = failure
-            last_failure = failure
-            self.ladder.record_failure(g.name, rung, failure)
-            floor = self.ladder.rung_below(rung)
-            attempt += 1
-            # the ladder has finite depth and the backoff a finite retry
-            # budget: together they bound the attempts of any request
-            exhausted = attempt >= (self.config.backoff.max_attempts
-                                    + len(RUNGS))
-            if exhausted or (floor is None
-                             and attempt > self.config.backoff.max_attempts):
-                return Response(
-                    id=req.id, status="error", op=req.op,
-                    error=("degradation ladder exhausted; last failure: "
-                           + failure),
-                    timing={"attempts": attempt},
-                ), True
-            self.counters["retries"] += 1
-            delay = self.config.backoff.delay(attempt, rng)
-            if self.config.clock() + delay >= deadline_at:
-                return Response(
-                    id=req.id, status="deadline", op=req.op,
-                    error=("deadline would expire during retry backoff; "
-                           "last failure: " + failure),
-                    timing={"attempts": attempt},
-                ), True
-            if delay > 0:
-                await asyncio.sleep(delay)
-        # unreachable; loop exits only via return
-        raise ReproError("retry loop left without a response")
+                notes.append("worker-pool breaker open (inline sweep)")
+        return _Attempt(
+            functools.partial(self._compute_apsp, g, rung, workers, notes,
+                              salvage),
+            workers=workers, probing=probing,
+        )
 
     async def _reap(self, future: "asyncio.Future") -> None:
         """Hold an abandoned compute's admission slot until the thread
@@ -1081,178 +998,129 @@ class PathQueryService:
     # Compute (runs in worker threads — no service state access)
     # ------------------------------------------------------------------
 
-    def _compute_column(self, g: _Graph, dest: int, rung: Rung,
-                        notes: list) -> dict:
+    def _machine(self, g: _Graph, rung: Rung, notes: list
+                 ) -> tuple[PPAMachine, str]:
+        """A machine for *rung* and the engine it runs: the resilient
+        rung's array carries spare PEs, and an analytic engine the
+        machine cannot run (a fault plan, say) downgrades to ``cycle``
+        with a note."""
         if rung.resilient:
             machine = self.machine_factory(
                 g.n + self.config.resilient_spares, g.word_bits
             )
-            executor = ResilientExecutor(machine, self.config.resilience)
-            res = executor.run(g.W, dest, raise_on_failure=False)
-            if not res.trustworthy:
-                raise _ComputeFailed(
-                    "resilient executor exhausted its recovery budget"
-                )
-            lane = res.lane(0)
-            payload = {"sow": lane.sow, "ptn": lane.ptn,
-                       "iterations": int(lane.iterations),
-                       "engine": "cycle+resilient"}
-        else:
-            machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
-            res = minimum_cost_path(machine, g.W, dest, engine=engine)
-            payload = {"sow": res.sow, "ptn": res.ptn,
-                       "iterations": int(res.iterations), "engine": engine}
-        if self.config.verify:
-            problems = verify_mcp(g.W, payload["sow"], payload["ptn"],
-                                  dest, g.maxint)
-            if problems:
-                raise _AnswerRejected(problems)
-        return payload
+            return machine, "cycle+resilient"
+        machine = self.machine_factory(g.n, g.word_bits)
+        blocked = fused_block_reason(machine)
+        if rung.engine != "cycle" and blocked is not None:
+            notes.append(f"engine auto-downgrade to cycle: {blocked}")
+            return machine, "cycle"
+        return machine, rung.engine
 
-    def _compute_columns(self, g: _Graph, dests: list, rung: Rung,
-                         notes: list, seeds: dict, width: int) -> dict:
-        """Lane-batched column compute for one coalesced batch.
+    def _solve_columns(self, g: _Graph, dests, rung: Rung, notes: list,
+                       width: int, warm: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+        """The lane-chunked column solver every compute path shares.
 
-        ``seeds`` maps dest -> certified warm-start bound vector (or
-        None); seeds ride only on the analytic engines — the cycle
-        simulator and the resilient executor always run cold (they are
-        the ground-truth/recovery paths). ``width`` is the rung-aware
-        lane cap: degraded rungs chunk the batch into narrower engine
-        runs. Returns dest -> payload."""
-        out: dict[int, dict] = {}
-        if rung.resilient:
-            machine = self.machine_factory(
-                g.n + self.config.resilient_spares, g.word_bits
-            )
-            executor = ResilientExecutor(machine, self.config.resilience)
-            for base in range(0, len(dests), width):
-                chunk = np.asarray(dests[base:base + width],
-                                   dtype=np.int64)
-                res = executor.run_batched(g.W, chunk,
-                                           raise_on_failure=False)
-                if not res.trustworthy:
+        Solves ``dests`` in engine runs of at most ``width`` lanes —
+        under the resilient executor on the bottom rung. ``warm`` is an
+        optional ``(k, n)`` plane of certified warm-start bounds
+        (``maxint`` rows for unseeded lanes); seeds ride only on the
+        analytic engines — the cycle simulator and the resilient
+        executor always run cold (they are the ground-truth/recovery
+        paths). Returns ``(sow, ptn, iterations, engine)`` with one row
+        per destination. Verifies nothing: each caller verifies its
+        answer once.
+        """
+        dests = np.asarray(dests, dtype=np.int64)
+        sow = np.empty((dests.size, g.n), dtype=np.int64)
+        ptn = np.empty_like(sow)
+        iterations = np.empty(dests.size, dtype=np.int64)
+        machine, engine = self._machine(g, rung, notes)
+        executor = ResilientExecutor(machine, self.config.resilience) \
+            if rung.resilient else None
+        for base in range(0, dests.size, width):
+            rows = slice(base, base + width)
+            chunk = dests[rows]
+            if executor is not None:
+                recovered = executor.run_batched(g.W, chunk,
+                                                 raise_on_failure=False)
+                if not recovered.trustworthy:
                     raise _ComputeFailed(
                         "resilient executor exhausted its recovery budget"
                     )
-                for b, d in enumerate(chunk):
-                    lane = res.lane(b)
-                    out[int(d)] = {"sow": lane.sow, "ptn": lane.ptn,
-                                   "iterations": int(lane.iterations),
-                                   "engine": "cycle+resilient"}
-        else:
-            machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
-            for base in range(0, len(dests), width):
-                chunk = np.asarray(dests[base:base + width],
-                                   dtype=np.int64)
-                warm = None
-                if engine != "cycle":
-                    rows = [seeds.get(int(d)) for d in chunk]
-                    if any(r is not None for r in rows):
-                        warm = np.full((chunk.size, g.n), g.maxint,
-                                       dtype=np.int64)
-                        for b, r in enumerate(rows):
-                            if r is not None:
-                                warm[b] = r
-                view = machine.lanes(int(chunk.size))
-                res = batched_minimum_cost_path(
-                    view, g.W, chunk, engine=engine, warm_sow=warm
-                )
-                for b, d in enumerate(chunk):
-                    d = int(d)
-                    out[d] = {
-                        "sow": res.sow[b].copy(),
-                        "ptn": res.ptn[b].copy(),
-                        "iterations": int(res.iterations[b]),
-                        "engine": engine,
-                        "warm_started": bool(
-                            warm is not None and seeds.get(d) is not None
-                        ),
-                    }
-        if self.config.verify:
-            for d, payload in out.items():
-                problems = verify_mcp(g.W, payload["sow"], payload["ptn"],
-                                      d, g.maxint)
-                if problems:
-                    raise _AnswerRejected(problems)
+                sow[rows], ptn[rows] = recovered.sow, recovered.ptn
+                iterations[rows] = recovered.iterations
+                continue
+            seed = None
+            if warm is not None and engine != "cycle" \
+                    and (warm[rows] < g.maxint).any():
+                seed = warm[rows]
+            res = batched_minimum_cost_path(
+                machine.lanes(int(chunk.size)), g.W, chunk, engine=engine,
+                warm_sow=seed,
+            )
+            sow[rows], ptn[rows] = res.sow, res.ptn
+            iterations[rows] = res.iterations
+        return sow, ptn, iterations, engine
+
+    def _compute_columns(self, g: _Graph, dests: list, rung: Rung,
+                         notes: list, seeds: list, width: int) -> dict:
+        """Solve and verify one column batch; returns dest -> payload.
+
+        ``seeds`` holds each destination's certified warm-start bound
+        vector, or None."""
+        warm = None
+        if any(s is not None for s in seeds):
+            warm = np.full((len(dests), g.n), g.maxint, dtype=np.int64)
+            for b, s in enumerate(seeds):
+                if s is not None:
+                    warm[b] = s
+        sow, ptn, iterations, engine = self._solve_columns(
+            g, dests, rung, notes, width, warm)
+        out: dict[int, dict] = {}
+        for b, d in enumerate(dests):
+            problems = verify_mcp(g.W, sow[b], ptn[b], d, g.maxint)
+            if problems:
+                raise _AnswerRejected(problems)
+            out[d] = {"sow": sow[b].copy(), "ptn": ptn[b].copy(),
+                      "iterations": int(iterations[b]), "engine": engine}
         return out
 
     def _compute_apsp(self, g: _Graph, rung: Rung, workers: int,
                       notes: list, salvage: dict | None = None) -> dict:
+        """Solve and verify one APSP plane.
+
+        The resilient rung sweeps every destination, and a salvage
+        record re-solves only its delta-dirtied columns (warm-started on
+        analytic engines, spliced into the surviving plane): both
+        through :meth:`_solve_columns`. Otherwise one
+        ``all_pairs_minimum_cost`` sweep, sharded when ``workers > 1``.
+        The whole plane is verified once, like any other answer.
+        """
         lanes = max(1, g.n // rung.lane_div)
         incremental = None
-        if rung.resilient:
-            machine = self.machine_factory(
-                g.n + self.config.resilient_spares, g.word_bits
-            )
-            executor = ResilientExecutor(machine, self.config.resilience)
-            dist = np.empty((g.n, g.n), dtype=np.int64)
-            succ = np.empty((g.n, g.n), dtype=np.int64)
-            iterations = np.empty(g.n, dtype=np.int64)
-            for base in range(0, g.n, lanes):
-                dests = np.arange(base, min(base + lanes, g.n),
-                                  dtype=np.int64)
-                res = executor.run_batched(g.W, dests,
-                                           raise_on_failure=False)
-                if not res.trustworthy:
-                    raise _ComputeFailed(
-                        "resilient executor exhausted its recovery budget"
-                    )
-                for b, d in enumerate(dests):
-                    lane = res.lane(b)
-                    dist[:, d] = lane.sow
-                    succ[:, d] = lane.ptn
-                    iterations[d] = lane.iterations
-            engine = "cycle+resilient"
-            shard_failures = 0
-        elif salvage is not None and workers <= 1:
-            # incremental re-solve: only the delta-dirtied columns are
-            # recomputed (warm-started from certified bounds on analytic
-            # engines), spliced into the surviving plane, then the whole
-            # plane is oracle-verified like any other answer
-            machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
-            dist = np.array(salvage["dist"], copy=True)
-            succ = np.array(salvage["succ"], copy=True)
-            iterations = np.array(salvage["iterations"], copy=True)
-            dirty = np.asarray(salvage["dirty"], dtype=np.int64)
-            warm = salvage["warm"]
-            for base in range(0, int(dirty.size), lanes):
-                chunk = dirty[base:base + lanes]
-                seed = None
-                if engine != "cycle":
-                    seed = np.ascontiguousarray(
-                        warm[:, base:base + int(chunk.size)].T
-                    )
-                view = machine.lanes(int(chunk.size))
-                res = batched_minimum_cost_path(
-                    view, g.W, chunk, engine=engine, warm_sow=seed
-                )
-                dist[:, chunk] = res.sow.T
-                succ[:, chunk] = res.ptn.T
-                iterations[chunk] = res.iterations
-            shard_failures = 0
-            incremental = int(dirty.size)
+        shard_failures = 0
+        if rung.resilient or salvage is not None:
+            if salvage is None:
+                todo = np.arange(g.n, dtype=np.int64)
+                warm: np.ndarray | None = None
+                dist = np.empty((g.n, g.n), dtype=np.int64)
+                succ = np.empty_like(dist)
+                iterations = np.empty(g.n, dtype=np.int64)
+            else:
+                todo = np.asarray(salvage["dirty"], dtype=np.int64)
+                warm = salvage["warm"].T
+                dist = np.array(salvage["dist"], copy=True)
+                succ = np.array(salvage["succ"], copy=True)
+                iterations = np.array(salvage["iterations"], copy=True)
+                incremental = int(todo.size)
+            sow, ptn, solved, engine = self._solve_columns(
+                g, todo, rung, notes, lanes, warm)
+            dist[:, todo] = sow.T
+            succ[:, todo] = ptn.T
+            iterations[todo] = solved
         else:
-            machine = self.machine_factory(g.n, g.word_bits)
-            engine = rung.engine
-            blocked = fused_block_reason(machine)
-            if engine != "cycle" and blocked is not None:
-                notes.append(f"engine auto-downgrade to cycle: {blocked}")
-                engine = "cycle"
+            machine, engine = self._machine(g, rung, notes)
             res = all_pairs_minimum_cost(
                 machine, g.W, engine=engine, lanes=lanes,
                 workers=workers if workers > 1 else None,
@@ -1260,10 +1128,9 @@ class PathQueryService:
             )
             dist, succ, iterations = res.dist, res.succ, res.iterations
             shard_failures = len(res.shard_report.get("failures", ()))
-        if self.config.verify:
-            problems = verify_apsp(g.W, dist, succ, g.maxint)
-            if problems:
-                raise _AnswerRejected(problems)
+        problems = verify_apsp(g.W, dist, succ, g.maxint)
+        if problems:
+            raise _AnswerRejected(problems)
         digest = hashlib.blake2b(
             dist.tobytes() + succ.tobytes(), digest_size=16
         ).hexdigest()
@@ -1301,13 +1168,6 @@ class PathQueryService:
                         "degraded": apsp.get("degraded")}
         self.counters["cache_misses"] += 1
         return None
-
-    def _cache_store(self, req: Request, g: _Graph, payload: dict,
-                     degraded: dict | None) -> None:
-        if req.op == "apsp":
-            self._store_apsp(g, payload, degraded)
-        else:
-            self._store_column(g, int(req.dest), payload, degraded)
 
     def _store_column(self, g: _Graph, dest: int, payload: dict,
                       degraded: dict | None) -> None:

@@ -34,7 +34,7 @@ from repro.engine.compiled import _relax_numpy_blocked
 from repro.engine.fused import _relax
 from repro.errors import GraphError
 from repro.ppa import PPAConfig, PPAMachine
-from repro.serve.delta import apply_edge_delta, certify_warm_column
+from repro.serve.delta import apply_edge_delta, certify_warm_plane
 
 from tests.engine.test_differential import batched_case, graph_case
 
@@ -281,7 +281,8 @@ class TestKernelChoice:
             assert _kernel(W_new, 16) == "edge-list"
             for d in range(n):
                 old = minimum_cost_path(m, W_old, d, engine="compiled")
-                seed = certify_warm_column(W_new, old.sow, old.ptn, d, maxint)
+                seed = certify_warm_plane(W_new, old.sow[:, None],
+                                          old.ptn[:, None], [d], maxint)[:, 0]
                 cold = minimum_cost_path(m, W_new, d, engine="fused")
                 for engine in ("fused", "compiled"):
                     warm = minimum_cost_path(m, W_new, d, engine=engine,

@@ -18,11 +18,7 @@ from repro.core.mcp import minimum_cost_path
 from repro.errors import GraphError
 from repro.ppa.machine import PPAMachine
 from repro.ppa.topology import PPAConfig
-from repro.serve.delta import (
-    apply_edge_delta,
-    certify_warm_column,
-    certify_warm_plane,
-)
+from repro.serve.delta import apply_edge_delta, certify_warm_plane
 
 ENGINES = ("fused", "compiled")
 
@@ -61,9 +57,10 @@ class TestWarmEqualsCold:
                 edges.append((u, v, m.maxint if w is None else w))
             W_new = apply_edge_delta(W_old, edges, m.maxint)
             for d in range(n):
-                seed = certify_warm_column(
-                    W_new, cold_old[d].sow, cold_old[d].ptn, d, m.maxint
-                )
+                seed = certify_warm_plane(
+                    W_new, cold_old[d].sow[:, None], cold_old[d].ptn[:, None],
+                    [d], m.maxint,
+                )[:, 0]
                 cold = minimum_cost_path(m, W_new, d, engine=engine)
                 warm = minimum_cost_path(m, W_new, d, engine=engine,
                                          warm_sow=seed)

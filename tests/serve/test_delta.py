@@ -1,11 +1,13 @@
 """Delta invalidation soundness: a kept column is never stale.
 
-The service's incremental `put_graph` keeps cached columns that
-`column_is_dirty` clears. The claim this file pins (oracle-checked):
-every kept column still satisfies the full Bellman-fixpoint oracle
-under the NEW weights — so serving it at the bumped version can never
-be silent-wrong. The dirty test is conservative (may recompute a column
-that did not change) but never unsound, including multi-edge deltas.
+The service's incremental `put_graph` stacks its cached columns into one
+plane and keeps the columns that `dirty_destinations` clears. The claim
+this file pins (oracle-checked): every kept column still satisfies the
+full Bellman-fixpoint oracle under the NEW weights — so serving it at
+the bumped version can never be silent-wrong. The dirty test is
+conservative (may recompute a column that did not change) but never
+unsound, including multi-edge deltas, and a column's verdict does not
+depend on which other columns share its plane.
 """
 
 import asyncio
@@ -13,11 +15,13 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.mcp import minimum_cost_path
 from repro.errors import GraphError
+from repro.ppa import PPAConfig, PPAMachine
+from repro.serve import service as service_mod
 from repro.serve.delta import (
     apply_edge_delta,
     certify_warm_plane,
-    column_is_dirty,
     decode_edges,
     dirty_destinations,
 )
@@ -51,6 +55,17 @@ def solve(W, d):
     return sow, ptn
 
 
+def column_dirty(edges, sow, ptn) -> bool:
+    """The dirty verdict for one column, as a one-column plane."""
+    mask = dirty_destinations(edges, sow[:, None], ptn[:, None], MAXINT)
+    assert mask.shape == (1,)
+    return bool(mask[0])
+
+
+def wire_of(W):
+    return [[None if int(c) >= MAXINT else int(c) for c in row] for row in W]
+
+
 class TestDecodeEdges:
     def test_valid_triples_decode(self):
         edges = decode_edges([[0, 1, 5], [2, 3, None]], 4, MAXINT)
@@ -79,7 +94,9 @@ class TestDecodeEdges:
 
 class TestDirtySoundness:
     def test_kept_columns_pass_the_oracle_under_new_weights(self):
-        """The headline property: clean verdict => oracle-clean at W_new."""
+        """The headline property: clean verdict => oracle-clean at W_new,
+        with the same verdict from a one-column plane, the full plane and
+        any subset of columns stacked together."""
         rng = np.random.default_rng(3)
         kept = dirtied = 0
         for trial in range(60):
@@ -95,9 +112,17 @@ class TestDirtySoundness:
                     else int(rng.integers(1, 10))
                 edges.append((u, v, w))
             W_new = apply_edge_delta(W, edges, MAXINT)
-            for d in range(n):
-                sow, ptn = solve(W, d)
-                if column_is_dirty(edges, sow, ptn, MAXINT):
+            cols = [solve(W, d) for d in range(n)]
+            dist = np.stack([c[0] for c in cols], axis=1)
+            succ = np.stack([c[1] for c in cols], axis=1)
+            plane = dirty_destinations(edges, dist, succ, MAXINT)
+            subset = np.flatnonzero(rng.random(n) < 0.5)
+            assert dirty_destinations(
+                edges, dist[:, subset], succ[:, subset], MAXINT
+            ).tolist() == plane[subset].tolist()
+            for d, (sow, ptn) in enumerate(cols):
+                assert column_dirty(edges, sow, ptn) == plane[d]
+                if plane[d]:
                     dirtied += 1
                     continue
                 kept += 1
@@ -106,23 +131,6 @@ class TestDirtySoundness:
         assert kept > 50, "dirty test too conservative to be useful"
         assert dirtied > 50, "delta stream never dirtied anything"
 
-    def test_vectorised_plane_test_matches_scalar(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(4, 10))
-            W = random_grid(n, rng)
-            cols = [solve(W, d) for d in range(n)]
-            dist = np.stack([c[0] for c in cols], axis=1)
-            succ = np.stack([c[1] for c in cols], axis=1)
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n - 1))
-            v += v >= u
-            edges = [(u, v, int(rng.integers(1, 10)))]
-            plane = dirty_destinations(edges, dist, succ, MAXINT)
-            scalar = [column_is_dirty(edges, dist[:, d], succ[:, d],
-                                      MAXINT) for d in range(n)]
-            assert plane.tolist() == scalar
-
     def test_cost_improvement_dirties_affected_column(self):
         # 0 -> 1 -> 2 costs 10; a 0->2 shortcut of 3 must dirty dest 2
         W = np.full((3, 3), MAXINT, dtype=np.int64)
@@ -130,7 +138,7 @@ class TestDirtySoundness:
         W[0, 1] = 5
         W[1, 2] = 5
         sow, ptn = solve(W, 2)
-        assert column_is_dirty([(0, 2, 3)], sow, ptn, MAXINT)
+        assert column_dirty([(0, 2, 3)], sow, ptn)
 
     def test_removing_tree_edge_dirties_column(self):
         W = np.full((3, 3), MAXINT, dtype=np.int64)
@@ -138,7 +146,7 @@ class TestDirtySoundness:
         W[0, 1] = 5
         W[1, 2] = 5
         sow, ptn = solve(W, 2)
-        assert column_is_dirty([(1, 2, MAXINT)], sow, ptn, MAXINT)
+        assert column_dirty([(1, 2, MAXINT)], sow, ptn)
 
     def test_irrelevant_edge_keeps_column(self):
         W = np.full((4, 4), MAXINT, dtype=np.int64)
@@ -149,7 +157,7 @@ class TestDirtySoundness:
         # improving the detour without making it competitive (9 + 4 > 2)
         # cannot affect any answer for dest 2
         sow, ptn = solve(W, 2)
-        assert not column_is_dirty([(1, 0, 9)], sow, ptn, MAXINT)
+        assert not column_dirty([(1, 0, 9)], sow, ptn)
 
 
 class TestCertifiedWarmPlane:
@@ -180,18 +188,36 @@ class TestServiceDelta:
     def run(self, coro):
         return asyncio.run(coro)
 
-    def test_delta_updates_never_serve_stale_answers(self):
+    @pytest.mark.parametrize("coalesce", [True, False],
+                             ids=["coalesced", "uncoalesced"])
+    def test_delta_updates_never_serve_stale_answers(self, coalesce,
+                                                     monkeypatch):
+        """Every answer is current, and every re-solve of a column a
+        delta dirtied starts from its certified warm seed — coalesced or
+        not — yet returns exactly the cold answer."""
+        seeded: list[int] = []
+        engine = service_mod.batched_minimum_cost_path
+
+        def recording(machine, W, dests, *, warm_sow=None, **kwargs):
+            if warm_sow is not None:
+                rows = (np.asarray(warm_sow) < MAXINT).any(axis=1)
+                seeded.extend(int(d) for d, row in zip(dests, rows) if row)
+            return engine(machine, W, dests, warm_sow=warm_sow, **kwargs)
+
+        monkeypatch.setattr(service_mod, "batched_minimum_cost_path",
+                            recording)
+
         async def main():
             rng = np.random.default_rng(29)
             n = 10
             W = random_grid(n, rng)
-            wire = [[None if int(c) >= MAXINT else int(c) for c in row]
-                    for row in W]
-            service = PathQueryService(ServiceConfig(workers=1, seed=1))
+            service = PathQueryService(ServiceConfig(workers=1, seed=1,
+                                                     coalesce=coalesce))
+            warm_solves = 0
             try:
                 resp = await service.handle_request({
                     "id": 0, "op": "put_graph", "graph": "g",
-                    "weights": wire, "word_bits": 16,
+                    "weights": wire_of(W), "word_bits": 16,
                 })
                 assert resp.status == "ok"
                 grid = W.copy()
@@ -207,6 +233,15 @@ class TestServiceDelta:
                         assert r.result["version"] == version
                         want = bellman_reference(grid, d, MAXINT)
                         assert r.result["sow"] == [int(x) for x in want]
+                        if seeded:
+                            assert seeded == [d]
+                            cold = minimum_cost_path(
+                                PPAMachine(PPAConfig(n=n, word_bits=16)),
+                                grid, d)
+                            assert r.result["ptn"] == cold.ptn.tolist()
+                            assert r.result["iterations"] == cold.iterations
+                            warm_solves += 1
+                            seeded.clear()
                     u = int(rng.integers(0, n))
                     v = int(rng.integers(0, n - 1))
                     v += v >= u
@@ -221,6 +256,97 @@ class TestServiceDelta:
                     grid[u, v] = MAXINT if w is None else w
                     version += 1
                     assert r.result["version"] == version
+            finally:
+                await service.stop()
+            assert warm_solves > 0, "no delta ever left a warm seed"
+        self.run(main())
+
+    def test_delta_without_cached_columns(self):
+        async def main():
+            W = random_grid(8, np.random.default_rng(5))
+            service = PathQueryService(ServiceConfig(workers=1))
+            try:
+                await service.handle_request({
+                    "id": 0, "op": "put_graph", "graph": "g",
+                    "weights": wire_of(W), "word_bits": 16,
+                })
+                r = await service.handle_request({
+                    "id": 1, "op": "put_graph", "graph": "g",
+                    "edges": [[0, 1, 1]],
+                })
+                assert r.status == "ok", r.error
+                assert r.result["delta"] == {
+                    "edges": 1, "columns_kept": 0, "columns_dirtied": 0,
+                    "apsp_dirty": None,
+                }
+                assert service.stats()["caches"]["warm_seeds"] == 0
+                r = await service.handle_request({
+                    "id": 2, "op": "dest", "graph": "g", "dest": 3,
+                })
+                grid = apply_edge_delta(W, [(0, 1, 1)], MAXINT)
+                want = bellman_reference(grid, 3, MAXINT)
+                assert r.result["sow"] == [int(x) for x in want]
+            finally:
+                await service.stop()
+        self.run(main())
+
+    def test_delta_counts_cached_columns_beside_an_apsp_plane(self):
+        """``columns_kept`` / ``columns_dirtied`` split the graph's
+        cached columns (the chaos digest includes them); ``apsp_dirty``
+        counts the APSP plane's own dirtied lanes."""
+        async def main():
+            n = 9
+            W = random_grid(n, np.random.default_rng(41))
+            service = PathQueryService(ServiceConfig(workers=1))
+
+            async def ask(op, **fields):
+                r = await service.handle_request(
+                    {"id": op, "op": op, "graph": "g", **fields})
+                assert r.status == "ok", r.error
+                return r
+
+            async def cached_plane(dests):
+                cols = [(await ask("dest", dest=d)).result for d in dests]
+                return (np.stack([c["sow"] for c in cols], axis=1),
+                        np.stack([c["ptn"] for c in cols], axis=1))
+
+            try:
+                await ask("put_graph", weights=wire_of(W), word_bits=16)
+                # three cached columns, no plane
+                sow, ptn = await cached_plane([1, 4, 7])
+                edges = [(0, 1, 1), (6, 7, MAXINT)]
+                want = dirty_destinations(edges, sow, ptn, MAXINT)
+                r = await ask("put_graph",
+                              edges=[list(e) for e in edges])
+                assert r.result["delta"]["columns_kept"] == \
+                    int((~want).sum())
+                assert r.result["delta"]["columns_dirtied"] == \
+                    int(want.sum())
+                assert r.result["delta"]["apsp_dirty"] is None
+                grid = apply_edge_delta(W, edges, MAXINT)
+
+                # a verified plane also caches every column
+                await ask("apsp")
+                sow, ptn = await cached_plane(range(n))
+                edges = [(2, 3, MAXINT), (5, 0, 1)]
+                want = dirty_destinations(edges, sow, ptn, MAXINT)
+                assert 0 < want.sum() < n
+                r = await ask("put_graph",
+                              edges=[list(e) for e in edges])
+                assert r.result["delta"] == {
+                    "edges": 2, "columns_kept": int((~want).sum()),
+                    "columns_dirtied": int(want.sum()),
+                    "apsp_dirty": int(want.sum()),
+                }
+                grid = apply_edge_delta(grid, edges, MAXINT)
+                for d in range(n):
+                    r = await ask("dest", dest=d)
+                    assert r.result["version"] == 3
+                    assert bool(r.timing.get("cached")) == (not want[d])
+                    expect = bellman_reference(grid, d, MAXINT)
+                    assert r.result["sow"] == [int(x) for x in expect]
+                r = await ask("apsp")
+                assert r.result["incremental"] == int(want.sum())
             finally:
                 await service.stop()
         self.run(main())
@@ -267,8 +393,7 @@ class TestServiceDelta:
             rng = np.random.default_rng(41)
             n = 9
             W = random_grid(n, rng)
-            wire = [[None if int(c) >= MAXINT else int(c) for c in row]
-                    for row in W]
+            wire = wire_of(W)
             service = PathQueryService(ServiceConfig(workers=1, seed=2))
             cold_svc = PathQueryService(ServiceConfig(workers=1, seed=2))
             try:
@@ -292,8 +417,7 @@ class TestServiceDelta:
                 # cold service registers the post-delta grid directly
                 W_new = apply_edge_delta(
                     W, [(0, 1, 1), (2, 3, MAXINT)], MAXINT)
-                wire_new = [[None if int(c) >= MAXINT else int(c)
-                             for c in row] for row in W_new]
+                wire_new = wire_of(W_new)
                 r = await cold_svc.handle_request({
                     "id": 4, "op": "put_graph", "graph": "g",
                     "weights": wire_new, "word_bits": 16,

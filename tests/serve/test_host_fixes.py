@@ -133,7 +133,7 @@ class TestStopOffloadsExecutorJoin:
         from repro.serve.service import PathQueryService, ServiceConfig
 
         async def main():
-            service = PathQueryService(ServiceConfig(verify=False))
+            service = PathQueryService(ServiceConfig())
             release = threading.Event()
 
             def slow_job():
@@ -168,7 +168,7 @@ class TestStopOffloadsExecutorJoin:
         from repro.serve.service import PathQueryService, ServiceConfig
 
         async def main():
-            service = PathQueryService(ServiceConfig(verify=False))
+            service = PathQueryService(ServiceConfig())
             service._threads()
             await service.stop()
             assert service._executor is None

@@ -7,11 +7,16 @@ scenario here is deterministic.
 """
 
 import asyncio
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.ppa import FaultKind, FaultPlan, PPAConfig, PPAMachine
 from repro.resilience import BackoffPolicy
 from repro.serve import (
@@ -229,24 +234,44 @@ class _GateFactory:
         return default_machine_factory(n, word_bits)
 
 
+#: the ways a cache-missing query enters the service's one admission
+#: step and attempt loop: entry -> (op, coalesce)
+ENTRIES = {
+    "column-coalesced": ("dest", True),
+    "column-uncoalesced": ("dest", False),
+    "apsp": ("apsp", True),
+}
+
+
+async def burst(service, entry, count, deadline_ms):
+    """``count`` concurrent queries, one graph each, so that no two
+    share a batch or an admission slot."""
+    op = ENTRIES[entry][0]
+    for i in range(count):
+        await put(service, name=f"g{i}")
+    bodies = []
+    for i in range(count):
+        body = {"id": f"q{i}", "op": op, "graph": f"g{i}",
+                "deadline_ms": deadline_ms}
+        if op == "dest":
+            body["dest"] = i % 6
+        bodies.append(body)
+    return await asyncio.gather(*(
+        service.handle_request(b) for b in bodies
+    ))
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
 class TestOverload:
-    def test_shed_with_backpressure_signal(self):
+    def test_shed_with_backpressure_signal(self, entry):
         async def main():
             factory = _GateFactory(0.3)
-            # coalescing would fold these six distinct-dest requests into
-            # one admission slot; this test pins the *per-request*
-            # admission path, so run with it off
             service = PathQueryService(
-                fast_config(max_inflight=1, max_queue=1, coalesce=False),
+                fast_config(max_inflight=1, max_queue=1,
+                            coalesce=ENTRIES[entry][1]),
                 machine_factory=factory,
             )
-            await put(service)
-            bodies = [{"id": f"q{i}", "op": "dest", "graph": "g",
-                       "dest": i % 6, "deadline_ms": 5_000}
-                      for i in range(6)]
-            responses = await asyncio.gather(*(
-                service.handle_request(b) for b in bodies
-            ))
+            responses = await burst(service, entry, 6, 5_000)
             statuses = [r.status for r in responses]
             assert statuses.count("shed") >= 3
             for r in responses:
@@ -255,25 +280,22 @@ class TestOverload:
                     assert r.retry_after_ms > 0
             assert service.counters["shed"] >= 3
             await service.stop()
+            assert service.admission.inflight == 0
 
         run(main())
 
-    def test_deadline_in_queue_and_during_compute(self):
+    def test_deadline_in_queue_and_during_compute(self, entry):
         async def main():
             factory = _GateFactory(0.4)
             service = PathQueryService(
-                fast_config(max_inflight=1, max_queue=4),
+                fast_config(max_inflight=1, max_queue=4,
+                            coalesce=ENTRIES[entry][1]),
                 machine_factory=factory,
             )
-            await put(service)
-            responses = await asyncio.gather(*(
-                service.handle_request({
-                    "id": f"q{i}", "op": "dest", "graph": "g",
-                    "dest": i % 6, "deadline_ms": 120,
-                }) for i in range(3)
-            ))
+            responses = await burst(service, entry, 3, 120)
             assert {r.status for r in responses} == {"deadline"}
             assert service.counters["deadline"] == 3
+            assert service.counters["abandoned"] == 1
             # abandoned compute still finished and released its slot
             await service.stop()
             assert service.admission.inflight == 0
@@ -367,6 +389,74 @@ class TestDegradation:
             await service.stop()
 
         run(main())
+
+
+#: One retrying request per entry, against a bus-faulted machine (the
+#: ladder walks down to the resilient rung); prints the backoff delays.
+_JITTER_SCRIPT = """
+import asyncio, json, sys
+from repro.ppa import FaultKind, FaultPlan
+from repro.resilience import BackoffPolicy
+from repro.serve.service import (PathQueryService, ServiceConfig,
+                                 default_machine_factory)
+
+DELAYS = []
+
+class Recording(BackoffPolicy):
+    def delay(self, attempt, rng=None):
+        DELAYS.append(super().delay(attempt, rng))
+        return DELAYS[-1]
+
+def faulty(n, word_bits):
+    machine = default_machine_factory(n, word_bits)
+    machine.inject_faults(FaultPlan().add(1, 3, FaultKind.STUCK_OPEN, axis=0))
+    return machine
+
+async def main(op, coalesce):
+    service = PathQueryService(ServiceConfig(
+        workers=1, coalesce=coalesce,
+        backoff=Recording(base=0.001, cap=0.002, max_attempts=2),
+    ), machine_factory=faulty)
+    await service.handle_request({"id": "put", "op": "put_graph",
+                                  "graph": "g", "weights": WIRE})
+    body = {"id": "q1", "op": op, "graph": "g"}
+    if op == "dest":
+        body["dest"] = 0
+    status = (await service.handle_request(body)).status
+    await service.stop()
+    return status
+
+WIRE = json.loads(sys.argv[1])
+out = {}
+for op, coalesce in (("dest", True), ("dest", False), ("apsp", False)):
+    DELAYS.clear()
+    status = asyncio.run(main(op, coalesce))
+    out[f"{op}-{coalesce}"] = [status, list(DELAYS)]
+print(json.dumps(out))
+"""
+
+
+class TestRetryJitter:
+    def test_backoff_delays_replay_across_processes(self):
+        """``ServiceConfig.seed`` pins the retry jitter in any process:
+        str hashing is salted per process, the jitter seed must not be."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+
+        def delays(hash_seed: str) -> dict:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _JITTER_SCRIPT, json.dumps(WIRE)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        first, second = delays("1"), delays("2")
+        for status, sequence in first.values():
+            assert status == "ok"
+            assert sequence, "the request never retried"
+        assert first == second
 
 
 class TestIntrospection:

@@ -133,7 +133,7 @@ class TestServiceIntegration:
     def _service():
         from repro.serve.service import PathQueryService, ServiceConfig
 
-        return PathQueryService(ServiceConfig(verify=False),
+        return PathQueryService(ServiceConfig(),
                                 sanitize=True)
 
     WIRE = [[0, 2, None], [None, 0, 3], [1, None, 0]]
@@ -207,7 +207,7 @@ class TestServiceIntegration:
         from repro.serve.service import PathQueryService, ServiceConfig
 
         async def main():
-            service = PathQueryService(ServiceConfig(verify=False),
+            service = PathQueryService(ServiceConfig(),
                                        sanitize=False)
             await self._put(service)
             await service.stop()
@@ -220,5 +220,5 @@ class TestServiceIntegration:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         from repro.serve.service import PathQueryService, ServiceConfig
 
-        service = PathQueryService(ServiceConfig(verify=False))
+        service = PathQueryService(ServiceConfig())
         assert service.sanitizer is not None
