@@ -83,7 +83,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -229,16 +229,33 @@ def destination_shards(n: int, workers: int) -> list[tuple[int, int]]:
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing shm block without taking ownership.
 
-    ``track=False`` (Python >= 3.13) keeps the attach out of the resource
-    tracker entirely. On older Pythons the attach re-registers the name —
-    harmless here, because fork workers share the parent's tracker and
-    its cache is a set (the duplicate collapses onto the parent's own
-    registration, which the parent's ``unlink()`` clears exactly once).
+    The attach never talks to the resource tracker: the parent registered
+    the block when it created it, and its ``unlink()`` unregisters it
+    exactly once. That matters beyond bookkeeping. A worker forks from
+    whichever parent thread runs the supervisor, and if another thread
+    held the tracker's lock at that instant (a concurrent sweep creating
+    its blocks), the child inherits the lock *held* with no thread left
+    to release it: a tracker call would block until the shard deadline.
+
+    ``track=False`` (Python >= 3.13) says so directly. Older Pythons
+    register every attach, so there the registration is suppressed for
+    the duration of the call — safe because only a forked worker attaches,
+    and it runs this on its only thread.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13
+    except TypeError:  # Python < 3.13: no ``track`` flag
+        pass
+    register = resource_tracker.register
+    resource_tracker.register = _skip_registration
+    try:
         return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
+
+
+def _skip_registration(name: object, rtype: object) -> None:
+    """Stand-in for ``resource_tracker.register`` during an attach."""
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +470,12 @@ class _ShardSupervisor:
     def _fail(self, shard: int, kind: str, detail: str) -> None:
         entry = self._live.pop(shard)
         proc = entry["proc"]
+        if kind == "error":
+            # The worker reported itself and is exiting. Its queue feeder
+            # thread releases the queue's process-shared write lock just
+            # after the report's last byte lands; killing it in that window
+            # would strand the lock and block every later report.
+            proc.join(_EXIT_DRAIN_GRACE)
         if proc.is_alive():
             proc.kill()
         proc.join()

@@ -29,11 +29,11 @@ Two kinds of accounting live here:
   the snapshot vocabulary (:meth:`CycleCounters.field_names`) and every
   recorded golden value.
 * **host-side metrics** — measurements of the *simulator* itself, not the
-  simulated machine: :class:`PlanCacheStats` tracks the bus-plan LRU of
-  :mod:`repro.ppa.segments`. They are deliberately **excluded** from
-  ``snapshot``/``diff``/``merge`` so that golden counter values, profile
-  drift checks and the batched/serial counter-parity guarantees stay
-  independent of host cache state.
+  simulated machine: :class:`PlanCacheStats` tracks the shared-plane
+  bus-plan LRUs of :mod:`repro.ppa.segments`. They are deliberately
+  **excluded** from ``snapshot``/``diff``/``merge`` so that golden
+  counter values, profile drift checks and the batched/serial
+  counter-parity guarantees stay independent of host cache state.
 
 :class:`LaneCounters` adds the batch dimension: a batched machine
 (``PPAMachine(..., batch=B)``) carries one *counter plane* per lane, so a
@@ -61,12 +61,14 @@ __all__ = [
 class PlanCacheStats:
     """Hit/miss tallies of the bus-plan LRU (host-side metric).
 
-    One hit or miss is recorded per *public* bus resolution
+    One hit or miss is recorded per *public* bus call
     (:func:`repro.ppa.segments.broadcast_values` /
-    :func:`~repro.ppa.segments.segmented_reduce`): a hit means the resolved
-    gather/``reduceat`` plan for the call's switch plane (or plane *stack*,
-    in batched mode) was served from cache. Per-lane plan lookups made
-    while assembling a batched stack plan are not double-counted.
+    :func:`~repro.ppa.segments.segmented_reduce`): a hit means the call's
+    shared switch plane was served a resolved plan from cache; a miss
+    means the call resolved its plan itself. A per-lane ``(B, n, n)``
+    plane stack consults no cache and is resolved on every call, so each
+    such call is one miss — ``hits + misses`` always equals the bus calls
+    made.
 
     Not part of the :class:`CycleCounters` snapshot vocabulary — cache
     behaviour depends on process history, so it must never leak into golden
@@ -247,12 +249,20 @@ class LaneCounters:
     accrue nothing, which is what makes a batched run's per-lane deltas
     bit-identical to the corresponding serial runs.
 
+    The lanes a charge lands on are chosen by :meth:`select` (all lanes
+    until it narrows them). Charges made under one selection are summed
+    as plain integers and applied to the per-lane planes only when the
+    selection changes or the planes are read, so a batched run pays one
+    masked add per counter per selection instead of one per instruction.
+    Every read (:meth:`snapshot`, :meth:`diff`, :meth:`lane`, ...) sees
+    exactly what eager accumulation would have produced.
+
     Vocabulary and exactness rules mirror :class:`CycleCounters`:
     ``snapshot``/``diff``/``merge`` are round-trip safe over the same
     field set, with one int64 vector of length ``lanes`` per field.
     """
 
-    __slots__ = ("lanes", "_data")
+    __slots__ = ("lanes", "_data", "_selected", "_pending")
 
     def __init__(self, lanes: int):
         if lanes < 1:
@@ -262,32 +272,66 @@ class LaneCounters:
             name: np.zeros(self.lanes, dtype=np.int64)
             for name in CycleCounters.field_names()
         }
+        #: lanes mask-less charges land on (``None``: every lane)
+        self._selected: np.ndarray | None = None
+        #: charges made under ``_selected`` not yet in ``_data``
+        self._pending: dict[str, int] = {}
 
     # -- accumulation ----------------------------------------------------
+
+    def select(self, mask: np.ndarray | None) -> None:
+        """Choose the lanes later :meth:`add` calls without a *mask*
+        charge: a boolean vector of length :attr:`lanes`, or ``None`` for
+        every lane. Charges pending under the old selection settle first.
+        """
+        self._settle()
+        self._selected = None if mask is None else np.array(mask, dtype=bool)
+
+    @property
+    def selected(self) -> np.ndarray:
+        """Boolean ``(lanes,)`` copy of the current :meth:`select` mask."""
+        if self._selected is None:
+            return np.ones(self.lanes, dtype=bool)
+        return self._selected.copy()
 
     def add(
         self,
         increments: Mapping[str, int],
         mask: np.ndarray | None = None,
     ) -> None:
-        """Charge *increments* to every lane (or only to masked lanes).
+        """Charge *increments* to the selected lanes, or only to *mask*'s.
 
-        *mask* is a boolean vector of length :attr:`lanes`; ``None`` means
-        all lanes. Unknown counter names raise :class:`ValueError` (same
-        typo protection as :meth:`CycleCounters.diff`).
+        *mask* is a boolean vector of length :attr:`lanes`; ``None``
+        charges the lanes chosen by :meth:`select` (every lane unless it
+        narrowed them). Unknown counter names raise :class:`ValueError`
+        (same typo protection as :meth:`CycleCounters.diff`).
         """
+        unknown = increments.keys() - self._data.keys()
+        if unknown:
+            raise ValueError(
+                f"unknown counter {sorted(unknown)[0]!r}; vocabulary is "
+                f"{CycleCounters.field_names()}"
+            )
+        if mask is not None:
+            self._settle()
+            for name, value in increments.items():
+                self._data[name][mask] += value
+            return
+        pending = self._pending
         for name, value in increments.items():
-            try:
-                plane = self._data[name]
-            except KeyError:
-                raise ValueError(
-                    f"unknown counter {name!r}; vocabulary is "
-                    f"{CycleCounters.field_names()}"
-                ) from None
+            pending[name] = pending.get(name, 0) + value
+
+    def _settle(self) -> None:
+        """Apply the pending charges to the selected lanes' planes."""
+        if not self._pending:
+            return
+        mask = self._selected
+        for name, value in self._pending.items():
             if mask is None:
-                plane += value
+                self._data[name] += value
             else:
-                plane[mask] += value
+                self._data[name][mask] += value
+        self._pending.clear()
 
     # -- snapshots -------------------------------------------------------
 
@@ -308,11 +352,13 @@ class LaneCounters:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of every per-lane counter plane."""
+        self._settle()
         return {k: v.copy() for k, v in self._data.items()}
 
     def diff(self, before: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Per-lane counts accumulated since *before* (a full snapshot)."""
         self._require_full(before, "diff() argument")
+        self._settle()
         return {k: v - np.asarray(before[k]) for k, v in self._data.items()}
 
     def merge(self, other: "LaneCounters | Mapping[str, np.ndarray]") -> None:
@@ -322,12 +368,14 @@ class LaneCounters:
                 raise ValueError(
                     f"cannot merge {other.lanes} lanes into {self.lanes}"
                 )
+            other._settle()
             other = other._data
         self._require_full(other, "merge() argument")
         for k, v in other.items():
             self._data[k] += np.asarray(v, dtype=np.int64)
 
     def reset(self) -> None:
+        self._pending.clear()
         for plane in self._data.values():
             plane[...] = 0
 
@@ -335,10 +383,12 @@ class LaneCounters:
 
     def lane(self, index: int) -> dict[str, int]:
         """One lane's counts as a plain :class:`CycleCounters`-style dict."""
+        self._settle()
         return {k: int(v[index]) for k, v in self._data.items()}
 
     def total(self) -> dict[str, int]:
         """Counts summed over all lanes (= the serial-equivalent total)."""
+        self._settle()
         return {k: int(v.sum()) for k, v in self._data.items()}
 
     @staticmethod

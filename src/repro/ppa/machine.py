@@ -55,7 +55,6 @@ from repro.ppa.memory import ParallelMemory
 from repro.ppa.segments import (
     ReduceOp,
     broadcast_values,
-    invalidate_stack_digest,
     segmented_reduce,
     shift_values,
 )
@@ -152,7 +151,6 @@ class PPAMachine:
         self.lane_counters: LaneCounters | None = (
             LaneCounters(batch) if batch is not None else None
         )
-        self._lane_mask: np.ndarray | None = None
         self.memory = ParallelMemory(self.parallel_shape)
         self.trace = BusTrace()
         self.trace.enabled = trace
@@ -261,10 +259,6 @@ class PPAMachine:
             np.copyto(dest, value, where=self._mask_stack[-1])
         else:
             dest[...] = value
-        # Writeback invalidation for the per-lane stack digest memo: if
-        # this array was ever presented as a (B, n, n) switch stack its
-        # memoized content digest is now stale.
-        invalidate_stack_digest(dest)
         self.count_alu()
         return dest
 
@@ -277,10 +271,10 @@ class PPAMachine:
     # Lane management (batched machines)
     # ------------------------------------------------------------------
 
-    def _require_batched(self, what: str) -> int:
-        if self.batch is None:
+    def _lane_ledger(self, what: str) -> LaneCounters:
+        if self.lane_counters is None:
             raise MaskError(f"{what} requires a batched machine (batch=B)")
-        return self.batch
+        return self.lane_counters
 
     def set_active_lanes(self, mask) -> None:
         """Select which lanes accrue :attr:`lane_counters` charges.
@@ -289,24 +283,20 @@ class PPAMachine:
         *cost ledger* — the SIMD datapath always computes all lanes; callers
         freeze converged lanes' state themselves (convergence masking).
         """
-        batch = self._require_batched("set_active_lanes")
-        if mask is None:
-            self._lane_mask = None
-            return
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != (batch,):
-            raise MaskError(
-                f"lane mask shape {m.shape} does not match batch ({batch},)"
-            )
-        self._lane_mask = m.copy()
+        ledger = self._lane_ledger("set_active_lanes")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (ledger.lanes,):
+                raise MaskError(
+                    f"lane mask shape {mask.shape} does not match batch "
+                    f"({ledger.lanes},)"
+                )
+        ledger.select(mask)
 
     @property
     def active_lanes(self) -> np.ndarray:
         """Boolean ``(B,)`` vector of lanes currently accruing cost."""
-        batch = self._require_batched("active_lanes")
-        if self._lane_mask is None:
-            return np.ones(batch, dtype=bool)
-        return self._lane_mask.copy()
+        return self._lane_ledger("active_lanes").selected
 
     def lanes(self, batch: int) -> "PPAMachine":
         """A batched *view* of this (unbatched) machine.
@@ -337,7 +327,7 @@ class PPAMachine:
         for name, value in inc.items():
             setattr(c, name, getattr(c, name) + value)
         if self.lane_counters is not None:
-            self.lane_counters.add(inc, self._lane_mask)
+            self.lane_counters.add(inc)
 
     def apply_counter_delta(self, delta: dict) -> None:
         """Charge a pre-computed counter delta in one shot.
@@ -478,7 +468,7 @@ class PPAMachine:
         :meth:`global_or` (one row + one column wired-OR), charged once to
         the batched stream and once to each *active* lane's ledger.
         """
-        batch = self._require_batched("lane_global_or")
+        batch = self._lane_ledger("lane_global_or").lanes
         arr = np.broadcast_to(
             np.asarray(bits, dtype=bool), self.parallel_shape
         )

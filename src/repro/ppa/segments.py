@@ -18,35 +18,46 @@ Every PPA bus operation reduces to one of two questions about each *ring*
    it, up to (excluding) the next Open node, cyclically.
 
 Both are computed for the entire grid at once with numpy primitives
-(cumulative maxima, ``reduceat`` over a rolled layout) — no per-PE Python
-loops, per the project's hpc-parallel coding guides.
+(gathers, ``reduce``/``reduceat``, ``repeat``) — no per-PE Python loops.
 
-Batched (lane) execution
-------------------------
-Every public kernel also accepts a *stack* of ``B`` independent problem
-instances — a ``(B, n, n)`` value array and either a shared ``(n, n)``
-switch plane or a per-lane ``(B, n, n)`` plane stack. One bus transaction
-then resolves **all lanes in a single gather / ``reduceat``** instead of
-``B`` serial python-level passes. A shared 2-D plane is resolved once and
-lane-expanded into cached flat indices (so ``B`` lanes programming the
-same switch configuration share one plan resolution); a per-lane stack is
-resolved as one ``(B*m, n)`` ring pile in a single vectorised pass, and
-assembled stack plans are themselves cached.
+Lanes and switch planes
+-----------------------
+Every public kernel accepts one ``(n, n)`` grid or a stack of ``B``
+independent problem instances, ``(B, n, n)``, against either one shared
+``(n, n)`` switch plane or a per-lane ``(B, n, n)`` plane stack. One bus
+transaction resolves all lanes in a few whole-array passes, by one of two
+methods:
+
+* **Ring-wise** — every ring is a single cluster. A reduction is one
+  ``reduce`` along the raw ring axis (no flip or transpose copies), and a
+  broadcast with exactly one Open per ring is one gather per ring.
+* **Cluster-start segment fill** — any plane. The rings are cut into runs
+  at every Open node and every ring start; each run is filled from its
+  Open node in one ``repeat`` (reduced in one ``reduceat``), after each
+  ring's leading run is joined to the cluster it wraps into.
+
+A **shared plane** is resolved once into a *plan* — its method plus the
+ring heads or runs — cached per ``(direction, plane bytes)``: algorithms
+reprogram the same planes over and over (the MCP's bit-serial min issues
+~2h wired-ORs per iteration against one plane), and a plan serves any
+number of lanes. A **per-lane stack** is resolved on every call and never
+cached: its content can change in place under any cache key, and its
+planes are mostly data-dependent. Its Open count picks the method: a
+broadcast with as many Opens as rings checks for one Open per ring;
+everything else takes the segment fill.
 
 Canonical layout
 ----------------
-All internal helpers operate on a canonical orientation: rings live on the
-*last* axis and downstream is *increasing index* (for 2-D grids that means
-rings are rows). :func:`_to_canonical` transposes/flips inputs into that
-layout and :func:`_from_canonical` undoes it; both are O(1) views or cheap
-copies, and both are lane-axis agnostic (they only touch the trailing two
-axes).
+Runs are derived in a canonical orientation: rings live on the *last* axis
+and downstream is *increasing index* (for 2-D grids that means rings are
+rows). :func:`_to_canonical` transposes/flips inputs into that layout and
+:func:`_from_canonical` undoes it; both are lane-axis agnostic (they only
+touch the trailing two axes). Ring-wise transactions never leave the raw
+layout.
 """
 
 from __future__ import annotations
 
-import hashlib
-import weakref
 from collections import OrderedDict
 from typing import Literal
 
@@ -64,10 +75,6 @@ __all__ = [
     "plan_cache_stats",
     "reset_plan_cache_stats",
     "plan_cache_sizes",
-    "invalidate_stack_digest",
-    "stack_digest_stats",
-    "reset_stack_digest_stats",
-    "stack_digest_memo_size",
     "PlanCacheStats",
     "ReduceOp",
 ]
@@ -75,32 +82,19 @@ __all__ = [
 ReduceOp = Literal["or", "and", "min", "max", "sum"]
 
 # ---------------------------------------------------------------------------
-# Bus-plan caches
+# Shared-plane plan caches
 #
-# Algorithms reprogram the same switch planes over and over (the MCP's
-# bit-serial min issues ~2h wired-ORs per iteration against one plane), and
-# resolving a plane into gather/reduceat indices dominated the profile. The
-# resolution is a pure function of (plane bytes, direction), so a small LRU
-# of "plans" makes repeat transactions index-lookup cheap. 64 entries is
-# far beyond what any algorithm here cycles through.
-#
-# Four caches exist:
-#   _broadcast_plans / _reduce_plans  — per-plane plans, keyed on the raw
-#       (direction, shape, bytes) of one 2-D switch plane. Shared between
-#       unbatched calls and the per-lane resolution step of batched calls.
-#   _broadcast_stacks / _reduce_stacks — assembled (B, n, n) stack plans,
-#       keyed on the bytes of the whole per-lane plane stack. Smaller cap:
-#       each entry is B× the size of a per-plane plan.
-#
-# ``clear_plan_cache()`` drops all four.
+# Resolving a shared plane into its plan is a pure function of
+# (direction, plane bytes), so a small LRU of plans spares repeat
+# transactions the resolution. 64 entries is far beyond what any
+# algorithm here cycles through. Two caches exist, one per kernel; both
+# serve unbatched grids and lane stacks alike. ``clear_plan_cache()``
+# drops both.
 # ---------------------------------------------------------------------------
 
 _PLAN_CACHE_SIZE = 64
-_STACK_CACHE_SIZE = 16
 _broadcast_plans: "OrderedDict[tuple, tuple]" = OrderedDict()
 _reduce_plans: "OrderedDict[tuple, tuple]" = OrderedDict()
-_broadcast_stacks: "OrderedDict[tuple, tuple]" = OrderedDict()
-_reduce_stacks: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 # Module-wide hit/miss accounting (host-side metric: depends on process
 # history, never part of the machine cost model). Public kernels bump this
@@ -109,34 +103,14 @@ _reduce_stacks: "OrderedDict[tuple, tuple]" = OrderedDict()
 _stats = PlanCacheStats()
 
 
-def _cache_get(cache: "OrderedDict", key: tuple):
-    try:
-        value = cache.pop(key)
-    except KeyError:
-        return None
-    cache[key] = value  # refresh LRU position
-    return value
-
-
-def _cache_put(
-    cache: "OrderedDict", key: tuple, value: tuple, limit: int = _PLAN_CACHE_SIZE
-) -> None:
-    cache[key] = value
-    while len(cache) > limit:
-        cache.popitem(last=False)
-
-
 def clear_plan_cache() -> None:
     """Drop all cached bus plans (memory hygiene for huge sweeps).
 
-    Clears **all four** plan caches: the per-plane broadcast and reduce
-    LRUs *and* the assembled batched stack-plan LRUs. Hit/miss statistics
-    are left untouched (use :func:`reset_plan_cache_stats` for those).
+    Clears both shared-plane plan LRUs, broadcast and reduce. Hit/miss
+    statistics are left untouched (use :func:`reset_plan_cache_stats`).
     """
     _broadcast_plans.clear()
     _reduce_plans.clear()
-    _broadcast_stacks.clear()
-    _reduce_stacks.clear()
 
 
 def plan_cache_stats() -> PlanCacheStats:
@@ -150,13 +124,8 @@ def reset_plan_cache_stats() -> None:
 
 
 def plan_cache_sizes() -> dict[str, int]:
-    """Current entry counts of all four plan caches (for memory tests)."""
-    return {
-        "broadcast": len(_broadcast_plans),
-        "reduce": len(_reduce_plans),
-        "broadcast_stacks": len(_broadcast_stacks),
-        "reduce_stacks": len(_reduce_stacks),
-    }
+    """Current entry counts of both plan caches (for memory tests)."""
+    return {"broadcast": len(_broadcast_plans), "reduce": len(_reduce_plans)}
 
 
 def _record(stats: PlanCacheStats | None, kind: str, hit: bool) -> None:
@@ -166,70 +135,19 @@ def _record(stats: PlanCacheStats | None, kind: str, hit: bool) -> None:
         setattr(stats, name, getattr(stats, name) + 1)
 
 
-# ---------------------------------------------------------------------------
-# Per-stack digest memo
-#
-# The stack-plan LRUs key on the *content* of a whole (B, n, n) per-lane
-# plane stack. Hashing those bytes (``o.tobytes()``) on every transaction
-# costs O(B * n^2) per call — and the hot caller (the batched MCP loop)
-# re-presents the *same* resolved plane-stack object (``row_d``) thousands
-# of times per run, because :func:`repro.ppa.switchbox.as_switch_plane` is
-# identity-stable for boolean contiguous inputs. So the digest is memoized
-# per array object (``id``), with two eviction paths:
-#
-# * garbage collection — a ``weakref.finalize`` drops the entry the moment
-#   the array dies, so a recycled ``id()`` can never resurrect a stale
-#   digest;
-# * **writeback** — :meth:`repro.ppa.machine.PPAMachine.store` mutates
-#   parallel variables in place and calls
-#   :func:`invalidate_stack_digest` on the destination, so a plane derived
-#   from (and aliasing) machine state re-hashes after any store.
-#
-# The memoized value is a 16-byte BLAKE2b digest, which also shrinks the
-# LRU keys from B*n^2 bytes to 16.
-# ---------------------------------------------------------------------------
-
-_digest_memo: dict[int, bytes] = {}
-_digest_stats = {"hits": 0, "misses": 0}
-
-
-def _stack_digest(o: np.ndarray) -> bytes:
-    """Memoized content digest of one per-lane plane stack (see above)."""
-    key = id(o)
-    cached = _digest_memo.get(key)
-    if cached is not None:
-        _digest_stats["hits"] += 1
-        return cached
-    _digest_stats["misses"] += 1
-    digest = hashlib.blake2b(o.tobytes(), digest_size=16).digest()
-    _digest_memo[key] = digest
-    weakref.finalize(o, _digest_memo.pop, key, None)
-    return digest
-
-
-def invalidate_stack_digest(arr: np.ndarray) -> None:
-    """Forget the memoized digest of *arr* (it is about to be mutated).
-
-    Called by :meth:`repro.ppa.machine.PPAMachine.store` on every masked
-    writeback; a no-op for arrays that were never presented as per-lane
-    switch stacks.
-    """
-    _digest_memo.pop(id(arr), None)
-
-
-def stack_digest_stats() -> dict[str, int]:
-    """Host-side hit/miss tallies of the stack digest memo (copy)."""
-    return dict(_digest_stats)
-
-
-def reset_stack_digest_stats() -> None:
-    _digest_stats["hits"] = 0
-    _digest_stats["misses"] = 0
-
-
-def stack_digest_memo_size() -> int:
-    """Live entries in the digest memo (bounded by live plane stacks)."""
-    return len(_digest_memo)
+def _cached_plan(cache: "OrderedDict", o: np.ndarray, direction: Direction,
+                 kind: str, stats: PlanCacheStats | None) -> tuple:
+    """The *kind* plan of shared plane *o*, from the LRU or freshly
+    resolved."""
+    key = (direction, o.shape, o.tobytes())
+    plan = cache.pop(key, None)
+    _record(stats, kind, plan is not None)
+    if plan is None:
+        plan = _resolve(o, direction, kind)
+        while len(cache) >= _PLAN_CACHE_SIZE:
+            cache.popitem(last=False)
+    cache[key] = plan  # (re)insert as most recently used
+    return plan
 
 
 _UFUNCS = {
@@ -242,7 +160,7 @@ _UFUNCS = {
 
 
 def _to_canonical(arr: np.ndarray, direction: Direction) -> np.ndarray:
-    """View/copy of *arr* with rings on the last axis and downstream = +1."""
+    """View of *arr* with rings on the last axis and downstream = +1."""
     if direction.axis == 0:
         arr = arr.swapaxes(-1, -2)
     if not direction.is_forward:
@@ -259,177 +177,180 @@ def _from_canonical(arr: np.ndarray, direction: Direction) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-# ---------------------------------------------------------------------------
-# Plan resolution (pure functions of one canonical 2-D plane)
-# ---------------------------------------------------------------------------
+def _ring_axis(direction: Direction) -> int:
+    """Raw axis a ring runs along: rows for EAST/WEST, columns otherwise."""
+    return -1 if direction.axis == 1 else -2
 
 
-def _head_index(open_plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster head (Open node at-or-upstream, cyclic) per node.
-
-    Canonical layout; returns ``(head, has_open)``. An Open node heads its
-    own cluster.
-    """
-    m, n = open_plane.shape
-    cols = np.arange(n, dtype=np.int64)
-    idx = np.where(open_plane, cols, -1)
-    incl = np.maximum.accumulate(idx, axis=1)
-    last = incl[:, -1:]
-    head = np.where(incl < 0, last, incl)
-    return head, last[:, 0] >= 0
+def _undriven(what: str, direction: Direction, ring: str) -> BusError:
+    if what == "broadcast":
+        return BusError(
+            f"broadcast({direction}): {ring} has no Open switch; "
+            "the bus is un-driven"
+        )
+    return BusError(f"segmented_reduce({direction}): {ring} has no Open switch")
 
 
-def _resolve_broadcast(oc: np.ndarray) -> tuple:
-    """Broadcast plan ``(safe, all_driven, bad_ring)`` for one canonical plane."""
-    head, has_open = _head_index(oc)
-    safe = np.where(head >= 0, head, np.arange(oc.shape[1])[None, :])
-    all_driven = bool(has_open.all())
-    bad = -1 if all_driven else int(np.flatnonzero(~has_open)[0])
-    return safe, all_driven, bad
-
-
-def _resolve_reduce(oc: np.ndarray) -> tuple:
-    """Reduce plan ``(cols, starts, seg_map, nseg, all_driven, bad_ring)``.
-
-    ``cols`` rolls each ring so it begins at its first Open node (clusters
-    become contiguous runs and ``reduceat`` applies); ``starts`` are flat
-    segment starts in the rolled ``(m*n,)`` layout; ``seg_map`` maps each
-    rolled position to its segment id. Open-free rings keep offset 0 and
-    form one whole-ring segment.
-    """
-    m, n = oc.shape
-    has_open = oc.any(axis=1)
-    first = np.where(has_open, np.argmax(oc, axis=1), 0)
-    cols = (np.arange(n)[None, :] + first[:, None]) % n
-    o_rolled = np.take_along_axis(oc, cols, axis=1)
-    boundary = o_rolled.copy()
-    boundary[:, 0] = True  # every ring contributes >= 1 segment
-    flat_bound = boundary.reshape(-1)
-    starts = np.flatnonzero(flat_bound)
-    seg_map = (np.cumsum(flat_bound) - 1).reshape(m, n)
-    nseg = int(starts.size)
-    all_driven = bool(has_open.all())
-    bad = -1 if all_driven else int(np.flatnonzero(~has_open)[0])
-    return cols, starts, seg_map, nseg, all_driven, bad
-
-
-def _plane_plan(cache: "OrderedDict", o_raw: np.ndarray, direction: Direction,
-                resolver) -> tuple:
-    """Per-plane plan for a raw-orientation 2-D plane, via the LRU cache."""
-    key = (direction, o_raw.shape, o_raw.tobytes())
-    plan = _cache_get(cache, key)
-    if plan is None:
-        oc = np.ascontiguousarray(_to_canonical(o_raw, direction))
-        plan = resolver(oc)
-        _cache_put(cache, key, plan)
-    return plan
+def _first_bad(undriven: np.ndarray) -> int:
+    """First undriven ring (flat index), or -1 when every ring is driven."""
+    return int(np.argmax(undriven)) if undriven.any() else -1
 
 
 # ---------------------------------------------------------------------------
-# Lane-expanded plans (one shared 2-D plane driving a (B, n, n) lane stack)
-#
-# The naive expansion — rebuilding reduceat starts and per-lane segment
-# maps on every transaction — dominated the batched profile. Instead the
-# per-plane plan is expanded ONCE per (plane, B) into flat gather indices
-# and cached alongside the 2-D plans. Two shapes exist:
-#
-#   "fast" — every ring is a single cluster (<= 1 Open switch per ring:
-#       exactly the planes the MCP's bit-serial min hammers 2h times per
-#       iteration). The whole transaction is one SIMD ``ufunc.reduce``
-#       over the ring axis (reduce) or one per-ring gather + broadcast
-#       (broadcast); no index arrays touch memory at apply time.
-#   "gen" — arbitrary segmentation: precomputed *flat* roll-gather,
-#       reduceat starts and un-rolled segment-id indices, so apply is
-#       two contiguous fancy gathers plus one ``reduceat``.
+# Whole-ring clusters: one gather or one reduce along the raw ring axis
 # ---------------------------------------------------------------------------
 
 
-def _expand_broadcast_plan(plan: tuple, B: int) -> tuple:
-    safe, all_driven, bad = plan
-    m, n = safe.shape
-    if bool((safe == safe[:, :1]).all()):
-        # Per-ring-constant gather map: one driver (or one node) per ring.
-        head_abs = np.arange(m, dtype=np.int64) * n + safe[:, 0]
-        return ("fast", head_abs, m, n, all_driven, bad)
-    safe_flat = (safe + np.arange(m, dtype=np.int64)[:, None] * n).ravel()
-    return ("gen", safe_flat, m, n, all_driven, bad)
+def _ring_heads(o: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Open count of every ring of a ``(lanes, rows, cols)`` plane stack and
+    the raw flat index of one Open node per ring, in (lane, ring) order."""
+    lanes, rows, cols = o.shape
+    opens = np.flatnonzero(o)
+    if axis == -1:
+        ring = opens // cols
+    else:
+        ring = opens // (rows * cols) * cols + opens % cols
+    n_rings = lanes * (rows if axis == -1 else cols)
+    heads = np.zeros(n_rings, dtype=np.int64)
+    heads[ring] = opens
+    return np.bincount(ring, minlength=n_rings), heads
 
 
-def _apply_broadcast_batched(s: np.ndarray, plan: tuple) -> np.ndarray:
-    kind, idx, m, n, _all_driven, _bad = plan
-    B = s.shape[0]
-    s2 = np.reshape(s, (B, m * n))
-    if kind == "fast":
-        return np.broadcast_to(s2[:, idx][:, :, None], (B, m, n))
-    return s2[:, idx].reshape(B, m, n)
+def _deliver_rings(vals: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
+    """A *shape* array in which every PE of ring ``r`` holds
+    ``vals[..., r]``."""
+    return np.repeat(np.expand_dims(vals, axis), shape[axis], axis=axis)
 
 
-def _expand_reduce_plan(plan: tuple, B: int) -> tuple:
-    cols, starts, seg_map, nseg, all_driven, bad = plan
-    m, n = cols.shape
-    if nseg == m:
-        # One segment per ring: a plain axis reduction, no index arrays.
-        return ("fast", None, None, None, m, n, nseg, all_driven, bad)
-    mn = m * n
-    roll_flat = (cols + np.arange(m, dtype=np.int64)[:, None] * n).ravel()
-    starts_b = (starts[None, :] + (np.arange(B) * mn)[:, None]).reshape(-1)
-    seg_un = np.empty((m, n), dtype=np.int64)
-    np.put_along_axis(seg_un, cols, seg_map, axis=1)
-    return ("gen", roll_flat, starts_b, seg_un.ravel(), m, n, nseg,
-            all_driven, bad)
+#: A boolean wired-OR (AND) along rows folds eight PEs into each uint64
+#: word: on 0/1 bytes a word-wise OR (AND) is the byte-wise max (min).
+_WORD_FOLDS = {np.maximum: np.bitwise_or, np.minimum: np.bitwise_and}
+_ALL_ONES = np.uint64(0x0101010101010101)
 
 
-def _apply_reduce_batched(v: np.ndarray, plan: tuple, ufunc) -> np.ndarray:
-    kind, roll_flat, starts_b, seg_un, m, n, nseg, _driven, _bad = plan
-    if kind == "fast":
-        red = ufunc.reduce(v, axis=-1, keepdims=True)
-        return np.broadcast_to(red, v.shape)
-    B = v.shape[0]
-    flat = np.reshape(v, (B, m * n))[:, roll_flat]
-    seg_vals = ufunc.reduceat(flat.reshape(-1), starts_b)
-    return seg_vals.reshape(B, nseg)[:, seg_un].reshape(B, m, n)
+def _reduce_rings(v: np.ndarray, ufunc, axis: int) -> np.ndarray:
+    """Reduce every ring along the raw ring *axis* (each ring one cluster)
+    and deliver the result to all of its PEs."""
+    fold = _WORD_FOLDS.get(ufunc)
+    if (axis == -1 and fold is not None and v.dtype == np.bool_
+            and v.shape[-1] % 8 == 0 and v.flags.c_contiguous):
+        # numpy's row-wise reduce pays per row; fold word columns instead.
+        words = v.view(np.uint64)
+        acc = words[..., 0].copy()
+        for k in range(1, words.shape[-1]):
+            fold(acc, words[..., k], out=acc)
+        red = (acc != 0) if fold is np.bitwise_or else (acc == _ALL_ONES)
+    else:
+        red = ufunc.reduce(v, axis=axis)
+    return _deliver_rings(red, v.shape, axis)
 
 
 # ---------------------------------------------------------------------------
-# Stack-plan assembly (per-lane plane stacks)
-#
-# A (B, n, n) per-lane stack is resolved as ONE (B*m, n) ring pile — the
-# resolvers are already vectorised over rings, so a whole stack costs one
-# cumulative-max/argmax pass instead of B python-level lane resolutions.
-# The assembled flat gather/reduceat indices are cached so repeated
-# transactions against the same plane stack are a single LRU lookup; the
-# per-plane LRU is deliberately untouched (a stack of B distinct
-# data-dependent planes would wipe it in one call).
+# Cluster-start segment fill (any plane)
 # ---------------------------------------------------------------------------
 
 
-def _build_broadcast_stack(o: np.ndarray, direction: Direction) -> tuple:
-    oc = np.ascontiguousarray(_to_canonical(o, direction))
-    B, m, n = oc.shape
-    safe, all_driven, bad = _resolve_broadcast(oc.reshape(B * m, n))
-    bad_lane = None if all_driven else tuple(divmod(bad, m))
-    base = (np.arange(B * m, dtype=np.int64) * n)[:, None]
-    return (safe + base).ravel(), (m, n), all_driven, bad_lane
-
-
-def _build_reduce_stack(o: np.ndarray, direction: Direction) -> tuple:
-    oc = np.ascontiguousarray(_to_canonical(o, direction))
-    B, m, n = oc.shape
-    cols, starts, seg_map, nseg, all_driven, bad = _resolve_reduce(
-        oc.reshape(B * m, n)
+def _canonical(a: np.ndarray, direction: Direction, shape: tuple) -> np.ndarray:
+    """Contiguous canonical copy (or view) of *a* broadcast to *shape*."""
+    return np.ascontiguousarray(
+        _to_canonical(np.broadcast_to(a, shape), direction)
     )
-    bad_lane = None if all_driven else tuple(divmod(bad, m))
-    base = (np.arange(B * m, dtype=np.int64) * n)[:, None]
-    roll_full = (cols + base).ravel()
-    seg_un = np.empty_like(seg_map)
-    np.put_along_axis(seg_un, cols, seg_map, axis=1)
-    return (roll_full, starts, seg_un.ravel(), nseg, (m, n),
-            all_driven, bad_lane)
+
+
+def _clusters(oc: np.ndarray) -> tuple:
+    """Cluster-start decomposition of canonical rings *oc* (``(R, n)``,
+    contiguous).
+
+    The flattened rings are cut into *runs* at every Open node and every
+    ring start. Returns ``(starts, lengths, head, tail, undriven)``: flat
+    run starts and lengths; ``head``/``tail`` pair each driven ring's
+    leading run, when the ring starts on a Short node, with the ring's
+    last run — the cluster it wraps into; ``undriven`` marks rings with
+    no Open node (one run spanning the whole ring).
+    """
+    n = oc.shape[-1]
+    cut = oc.copy()
+    cut[:, 0] = True
+    starts = np.flatnonzero(cut)
+    lengths = np.diff(starts, append=cut.size)
+    first = np.flatnonzero(starts % n == 0)
+    last = np.append(first[1:], starts.size) - 1
+    short_start = ~oc[:, 0]
+    undriven = short_start & (first == last)
+    wrap = short_start & ~undriven
+    return starts, lengths, first[wrap], last[wrap], undriven
+
+
+def _fill_broadcast(sc: np.ndarray, cl: tuple) -> np.ndarray:
+    """Segment-fill broadcast of canonical values ``sc`` (``(L, R, n)``)
+    over the runs *cl* of ``R`` canonical rings, for each of ``L`` lanes."""
+    starts, lengths, head, tail, undriven = cl
+    source = starts.copy()  # the Open node each run takes its value from
+    source[head] = starts[tail]  # a wrapped run joins the ring's last cluster
+    flat = sc.reshape(sc.shape[0], -1)
+    out = np.repeat(np.take(flat, source, axis=-1), lengths, axis=-1)
+    out = out.reshape(sc.shape)
+    out[:, undriven] = sc[:, undriven]  # un-driven rings keep their values
+    return out
+
+
+def _fill_reduce(vc: np.ndarray, cl: tuple, ufunc) -> np.ndarray:
+    """Segmented reduction of canonical values ``vc`` (``(L, R, n)``) over
+    the runs *cl*, delivered to every run member."""
+    starts, lengths, head, tail, _undriven = cl
+    sums = ufunc.reduceat(vc.reshape(vc.shape[0], -1), starts, axis=-1)
+    # A wrapped leading run and its ring's last run are one cluster.
+    sums[:, tail] = ufunc(sums[:, head], sums[:, tail])
+    sums[:, head] = sums[:, tail]
+    return np.repeat(sums, lengths, axis=-1).reshape(vc.shape)
+
+
+# ---------------------------------------------------------------------------
+# Shared-plane plans ``(ring_wise, index, bad_ring)``, cached per plane
+#
+# ``ring_wise``: every ring is a single cluster, so a broadcast is one
+# gather per ring (exactly one Open per ring; ``index`` holds each one's
+# raw flat index) and a reduction one ``reduce`` along the raw ring axis
+# (at most one Open per ring). Otherwise ``index`` is the plane's
+# canonical runs for the segment fill. ``bad_ring`` is the first ring
+# without an Open switch (-1: none).
+# ---------------------------------------------------------------------------
+
+
+def _resolve(o: np.ndarray, direction: Direction, kind: str) -> tuple:
+    counts, heads = _ring_heads(o[None], _ring_axis(direction))
+    bad = _first_bad(counts == 0)
+    # Ring-wise: a broadcast needs exactly one Open per ring, a reduction
+    # at most one.
+    fewest = 1 if kind == "broadcast" else 0
+    if ((counts >= fewest) & (counts <= 1)).all():
+        return True, heads, bad
+    return False, _clusters(_canonical(o, direction, o.shape)), bad
+
+
+def _stack_runs(o: np.ndarray, direction: Direction, strict: bool,
+                what: str) -> tuple:
+    """Canonical runs of a per-lane stack, resolved for this call."""
+    oc = _canonical(o, direction, o.shape)
+    cl = _clusters(oc.reshape(-1, oc.shape[-1]))
+    if strict and cl[4].any():
+        lane, ring = divmod(_first_bad(cl[4]), oc.shape[-2])
+        raise _undriven(what, direction, f"lane {lane} ring {ring}")
+    return cl
 
 
 # ---------------------------------------------------------------------------
 # Public kernels
 # ---------------------------------------------------------------------------
+
+
+def _switch_stack(open_plane) -> np.ndarray:
+    o = np.asarray(open_plane, dtype=bool)
+    if o.ndim not in (2, 3):
+        raise ValueError(
+            f"open_plane must be 2-D or a (B, n, n) stack, got {o.shape}"
+        )
+    return o
 
 
 def broadcast_values(
@@ -467,81 +388,36 @@ def broadcast_values(
         ``received[p] = src[head(p)]`` for every PE ``p``, where ``head(p)``
         is the nearest Open node at-or-upstream of ``p`` on its ring
         (cyclic) — i.e. the extreme node of the cluster ``p`` belongs to.
-        Shape is the broadcast of *src* and *open_plane* shapes.
+        Shape is the broadcast of *src* and *open_plane* shapes; always a
+        fresh, writable array.
     """
-    s = _to_canonical(np.asarray(src), direction)
-    o = np.asarray(open_plane, dtype=bool)
+    s = np.asarray(src)
+    o = _switch_stack(open_plane)
+    axis = _ring_axis(direction)
     if o.ndim == 2:
-        if s.ndim == 2:
-            plan = _cache_get(_broadcast_plans,
-                              (direction, o.shape, o.tobytes()))
-            hit = plan is not None
-            if plan is None:
-                plan = _plane_plan(_broadcast_plans, o, direction,
-                                   _resolve_broadcast)
-            _record(stats, "broadcast", hit)
-            safe, all_driven, bad = plan
-            if strict and not all_driven:
-                raise BusError(
-                    f"broadcast({direction}): ring {bad} has no Open switch; "
-                    "the bus is un-driven"
-                )
-            out = np.take_along_axis(s, safe, axis=-1)
-            return _from_canonical(out, direction)
-        # Shared 2-D plane, (B, n, n) lane stack: lane-expanded flat plan.
-        B = s.shape[0]
-        key = (direction, o.shape, o.tobytes(), B, "bx")
-        plan = _cache_get(_broadcast_plans, key)
-        hit = plan is not None
-        if plan is None:
-            plan = _expand_broadcast_plan(
-                _plane_plan(_broadcast_plans, o, direction,
-                            _resolve_broadcast),
-                B,
-            )
-            _cache_put(_broadcast_plans, key, plan)
-        _record(stats, "broadcast", hit)
-        if strict and not plan[4]:
-            raise BusError(
-                f"broadcast({direction}): ring {plan[5]} has no Open switch; "
-                "the bus is un-driven"
-            )
-        return _from_canonical(_apply_broadcast_batched(s, plan), direction)
-    if o.ndim != 3:
-        raise ValueError(
-            f"open_plane must be 2-D or a (B, n, n) stack, got {o.shape}"
+        ring_wise, index, bad = _cached_plan(
+            _broadcast_plans, o, direction, "broadcast", stats
         )
-    key = (direction, o.shape, _stack_digest(o))
-    plan = _cache_get(_broadcast_stacks, key)
-    hit = plan is not None
-    if plan is None:
-        plan = _build_broadcast_stack(o, direction)
-        _cache_put(_broadcast_stacks, key, plan, _STACK_CACHE_SIZE)
-    _record(stats, "broadcast", hit)
-    safe_full, (m, n), all_driven, bad = plan
-    if strict and not all_driven:
-        lane, ring = bad
-        raise BusError(
-            f"broadcast({direction}): lane {lane} ring {ring} has no Open "
-            "switch; the bus is un-driven"
-        )
-    B = o.shape[0]
-    if s.ndim == 2:
-        s = np.broadcast_to(s, (B,) + s.shape)
-    out = np.reshape(s, -1)[safe_full].reshape(B, m, n)
-    return _from_canonical(out, direction)
-
-
-def _apply_reduce(v: np.ndarray, cols: np.ndarray, starts: np.ndarray,
-                  seg_map: np.ndarray, ufunc) -> np.ndarray:
-    """Shared apply step: roll, flat ``reduceat``, scatter back, un-roll."""
-    v_rolled = np.take_along_axis(v, cols, axis=-1)
-    seg_vals = ufunc.reduceat(np.ascontiguousarray(v_rolled).reshape(-1),
-                              starts)
-    out_rolled = seg_vals[seg_map]
-    out = np.empty_like(out_rolled)
-    np.put_along_axis(out, cols, out_rolled, axis=-1)
-    return out
+        if strict and bad >= 0:
+            raise _undriven("broadcast", direction, f"ring {bad}")
+        if ring_wise:
+            vals = np.take(s.reshape(*s.shape[:-2], -1), index, axis=-1)
+            return _deliver_rings(vals, s.shape, axis)
+        sc = _canonical(s, direction, s.shape)
+        out = _fill_broadcast(sc.reshape(-1, *sc.shape[-2:]), index)
+        return _from_canonical(out.reshape(sc.shape), direction)
+    _record(stats, "broadcast", False)
+    lanes = o.shape[0]
+    if np.count_nonzero(o) == lanes * (o.shape[-2] if axis == -1
+                                       else o.shape[-1]):
+        counts, heads = _ring_heads(o, axis)
+        if (counts == 1).all():  # one Open per ring: one gather per ring
+            vals = np.take(s, heads % s.size).reshape(lanes, -1)
+            return _deliver_rings(vals, o.shape, axis)
+    cl = _stack_runs(o, direction, strict, "broadcast")
+    sc = _canonical(s, direction, o.shape)
+    out = _fill_broadcast(sc.reshape(1, -1, sc.shape[-1]), cl)
+    return _from_canonical(out.reshape(sc.shape), direction)
 
 
 def segmented_reduce(
@@ -561,7 +437,7 @@ def segmented_reduce(
     ``and``/``min``/``max``/``sum`` for the extension algorithms.
 
     Accepts batched ``(B, n, n)`` *values* with a shared 2-D or per-lane
-    3-D *open_plane* — all lanes reduce in one flat ``reduceat``.
+    3-D *open_plane*; all lanes reduce in one pass.
 
     Rings with no Open switch raise :class:`BusError` when *strict*,
     otherwise every node of such a ring receives the reduction over the
@@ -570,73 +446,24 @@ def segmented_reduce(
     if op not in _UFUNCS:
         raise ValueError(f"unknown reduction op {op!r}")
     ufunc = _UFUNCS[op]
-
-    v = _to_canonical(np.asarray(values), direction)
-    o = np.asarray(open_plane, dtype=bool)
-
+    v = np.asarray(values)
+    o = _switch_stack(open_plane)
     if o.ndim == 2:
-        if v.ndim == 2:
-            plan = _cache_get(_reduce_plans,
-                              (direction, o.shape, o.tobytes()))
-            hit = plan is not None
-            if plan is None:
-                plan = _plane_plan(_reduce_plans, o, direction,
-                                   _resolve_reduce)
-            _record(stats, "reduce", hit)
-            cols, starts, seg_map, nseg, all_driven, bad = plan
-            if strict and not all_driven:
-                raise BusError(
-                    f"segmented_reduce({direction}): ring {bad} has no "
-                    "Open switch"
-                )
-            out = _apply_reduce(v, cols, starts, seg_map, ufunc)
-            return _from_canonical(out, direction)
-        # Shared 2-D plane, (B, n, n) lane stack: lane-expanded flat plan
-        # (one reduceat — or, for whole-ring clusters, one SIMD axis
-        # reduction — covers all lanes).
-        B = v.shape[0]
-        key = (direction, o.shape, o.tobytes(), B, "rx")
-        plan = _cache_get(_reduce_plans, key)
-        hit = plan is not None
-        if plan is None:
-            plan = _expand_reduce_plan(
-                _plane_plan(_reduce_plans, o, direction, _resolve_reduce),
-                B,
-            )
-            _cache_put(_reduce_plans, key, plan)
-        _record(stats, "reduce", hit)
-        if strict and not plan[7]:
-            raise BusError(
-                f"segmented_reduce({direction}): ring {plan[8]} has no "
-                "Open switch"
-            )
-        return _from_canonical(_apply_reduce_batched(v, plan, ufunc),
-                               direction)
-
-    if o.ndim != 3:
-        raise ValueError(
-            f"open_plane must be 2-D or a (B, n, n) stack, got {o.shape}"
+        ring_wise, index, bad = _cached_plan(
+            _reduce_plans, o, direction, "reduce", stats
         )
-    key = (direction, o.shape, _stack_digest(o))
-    plan = _cache_get(_reduce_stacks, key)
-    hit = plan is not None
-    if plan is None:
-        plan = _build_reduce_stack(o, direction)
-        _cache_put(_reduce_stacks, key, plan, _STACK_CACHE_SIZE)
-    _record(stats, "reduce", hit)
-    roll_full, starts_full, seg_un, nseg, (m, n), all_driven, bad = plan
-    if strict and not all_driven:
-        lane, ring = bad
-        raise BusError(
-            f"segmented_reduce({direction}): lane {lane} ring {ring} has no "
-            "Open switch"
-        )
-    B = o.shape[0]
-    if v.ndim == 2:
-        v = np.broadcast_to(v, (B,) + v.shape)
-    flat = np.reshape(v, -1)[roll_full]
-    out = ufunc.reduceat(flat, starts_full)[seg_un].reshape(B, m, n)
-    return _from_canonical(out, direction)
+        if strict and bad >= 0:
+            raise _undriven("reduce", direction, f"ring {bad}")
+        if ring_wise:
+            return _reduce_rings(v, ufunc, _ring_axis(direction))
+        vc = _canonical(v, direction, v.shape)
+        out = _fill_reduce(vc.reshape(-1, *vc.shape[-2:]), index, ufunc)
+        return _from_canonical(out.reshape(vc.shape), direction)
+    _record(stats, "reduce", False)
+    cl = _stack_runs(o, direction, strict, "reduce")
+    vc = _canonical(v, direction, o.shape)
+    out = _fill_reduce(vc.reshape(1, -1, vc.shape[-1]), cl, ufunc)
+    return _from_canonical(out.reshape(vc.shape), direction)
 
 
 def shift_values(

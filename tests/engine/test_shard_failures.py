@@ -137,6 +137,85 @@ class TestWorkerErrors:
                      "recovered": "respawn"}
 
 
+class TestForkSafety:
+    def test_fork_while_tracker_lock_is_held(self, inline_result,
+                                             monkeypatch):
+        """Each worker forks while another parent thread holds the
+        multiprocessing resource tracker's lock, so the child inherits it
+        held; its shm attach must not need that lock."""
+        import threading
+        import time
+        from multiprocessing import resource_tracker
+
+        from repro.engine import shard
+
+        lock = resource_tracker._resource_tracker._lock
+        spawn = shard._ShardSupervisor.spawn
+
+        def spawn_while_held(self, task, attempt=0):
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with lock:
+                    held.set()
+                    release.wait(30)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            assert held.wait(30)
+            try:
+                spawn(self, task, attempt)
+            finally:
+                release.set()
+                holder.join()
+
+        monkeypatch.setattr(shard._ShardSupervisor, "spawn",
+                            spawn_while_held)
+        W, ref = inline_result
+        start = time.monotonic()
+        res = sharded_all_pairs(_machine(), W, workers=2, shard_timeout=10.0)
+        elapsed = time.monotonic() - start
+        _assert_same_answers(res, ref)
+        assert "failures" not in res.shard_report
+        assert elapsed < 5.0  # the reports arrive well inside the deadline
+
+    def test_error_report_never_strands_the_queue_lock(self, inline_result,
+                                                      monkeypatch):
+        """A worker that reports an error is still releasing the result
+        queue's shared write lock when the report arrives; the supervisor
+        must not kill it in that window, or the respawned worker's report
+        could never be sent."""
+        import time
+
+        from repro.engine import shard
+
+        worker_main = shard._worker_main
+
+        def slow_unlock_main(payload, task, attempt, result_queue):
+            lock = result_queue._wlock
+
+            class SlowRelease:
+                acquire = lock.acquire
+
+                def release(self):
+                    time.sleep(0.3)  # widen the post-send window
+                    lock.release()
+
+            result_queue._wlock = SlowRelease()
+            worker_main(payload, task, attempt, result_queue)
+
+        monkeypatch.setattr(shard, "_worker_main", slow_unlock_main)
+        set_shard_chaos(raise_shards={0: 1})
+        W, ref = inline_result
+        start = time.monotonic()
+        res = sharded_all_pairs(_machine(), W, workers=2, shard_timeout=10.0)
+        elapsed = time.monotonic() - start
+        _assert_same_answers(res, ref)
+        [failure] = res.shard_report["failures"]
+        assert (failure["kind"], failure["recovered"]) == ("error", "respawn")
+        assert elapsed < 5.0
+
+
 class TestShmHygiene:
     """No shared-memory segment survives any recovery path."""
 

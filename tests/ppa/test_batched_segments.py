@@ -2,10 +2,13 @@
 
 The 2-D kernels are property-tested against a naive ring-walking reference
 in ``test_segments.py``; here the ``(B, n, n)`` batched paths — shared
-2-D plane, per-lane 3-D plane stacks, lane-expanded fast/general plans —
-must match running the (trusted) 2-D kernel once per lane. Also covers the
-plan-cache observability satellite: hit/miss statistics, the four-cache
-``clear_plan_cache``, and LRU-bounded memory under a huge plane sweep.
+2-D planes and per-lane 3-D plane stacks, through the ring-axis, gather
+and segment-fill paths — must match running the (trusted) 2-D kernel once
+per lane, including at the sizes where the fast paths engage. Also covers
+plan-cache observability: hit/miss statistics, per-lane stacks resolved
+on every call (so an in-place plane edit is always seen), both caches
+cleared by ``clear_plan_cache``, and LRU-bounded memory under a huge
+plane sweep.
 """
 
 import numpy as np
@@ -18,15 +21,11 @@ from repro.ppa.directions import Direction
 from repro.ppa.segments import (
     broadcast_values,
     clear_plan_cache,
-    invalidate_stack_digest,
     plan_cache_sizes,
     plan_cache_stats,
     reset_plan_cache_stats,
-    reset_stack_digest_stats,
     segmented_reduce,
     shift_values,
-    stack_digest_memo_size,
-    stack_digest_stats,
 )
 
 DIRECTIONS = list(Direction)
@@ -189,7 +188,7 @@ class TestBatchedShift:
 
 
 class TestPlanCacheObservability:
-    """Hit/miss accounting + the four-cache clear + bounded memory."""
+    """Hit/miss accounting, per-call stack resolution, bounded memory."""
 
     def test_stats_count_hits_and_misses(self):
         clear_plan_cache()
@@ -252,7 +251,9 @@ class TestPlanCacheObservability:
         # per-machine sink never enters the machine's cost vocabulary
         assert "plan_cache" not in machine.counters.snapshot()
 
-    def test_clear_plan_cache_covers_all_four_caches(self):
+    def test_clear_plan_cache_covers_both_caches(self):
+        """Shared planes fill the broadcast and reduce LRUs, whether the
+        values are one grid or a lane stack; per-lane stacks add nothing."""
         clear_plan_cache()
         src2 = np.arange(16).reshape(4, 4)
         src3 = np.arange(48).reshape(3, 4, 4)
@@ -261,26 +262,22 @@ class TestPlanCacheObservability:
         L3 = np.zeros((3, 4, 4), bool)
         L3[:, :, 0] = True
         L3[0, :, 2] = True
-        broadcast_values(src2, L2, Direction.EAST)   # per-plane broadcast
-        segmented_reduce(src2, L2, Direction.EAST, "or")  # per-plane reduce
-        broadcast_values(src3, L3, Direction.EAST)   # broadcast stack
-        segmented_reduce(src3, L3, Direction.EAST, "or")  # reduce stack
-        sizes = plan_cache_sizes()
-        assert all(sizes[k] > 0 for k in
-                   ("broadcast", "reduce", "broadcast_stacks",
-                    "reduce_stacks")), sizes
+        broadcast_values(src3, L3, Direction.EAST)   # per-lane stacks:
+        segmented_reduce(src3, L3, Direction.EAST, "or")  # no entries
+        assert plan_cache_sizes() == {"broadcast": 0, "reduce": 0}
+        broadcast_values(src2, L2, Direction.EAST)
+        segmented_reduce(src2, L2, Direction.EAST, "or")
+        broadcast_values(src3, L2, Direction.EAST)   # same plans, any B
+        segmented_reduce(src3, L2, Direction.EAST, "or")
+        assert plan_cache_sizes() == {"broadcast": 1, "reduce": 1}
         clear_plan_cache()
-        assert plan_cache_sizes() == {
-            "broadcast": 0, "reduce": 0,
-            "broadcast_stacks": 0, "reduce_stacks": 0,
-        }
+        assert plan_cache_sizes() == {"broadcast": 0, "reduce": 0}
 
-    def test_stack_digest_memoized_per_resolved_stack(self):
-        """The (B, n, n) stack branches must hash the ring-pile bytes ONCE
-        per resolved stack object, not on every call — repeat transactions
-        against the same plane stack are an id-lookup plus an LRU hit."""
+    def test_stacks_resolve_on_every_call(self):
+        """A per-lane (B, n, n) stack consults no cache: every transaction
+        resolves it afresh (one miss per call), with identical answers."""
         clear_plan_cache()
-        reset_stack_digest_stats()
+        reset_plan_cache_stats()
         rng = np.random.default_rng(3)
         vals = rng.integers(0, 99, size=(4, 6, 6))
         L = rng.random((4, 6, 6)) < 0.3
@@ -294,16 +291,14 @@ class TestPlanCacheObservability:
             assert np.array_equal(
                 segmented_reduce(vals, L, Direction.EAST, "min"), want_r
             )
-        stats = stack_digest_stats()
-        # One hash for the first broadcast; the reduce and every later call
-        # reuse it. 100 calls => 1 miss, 99 hits.
-        assert stats == {"hits": 99, "misses": 1}
-        assert stack_digest_memo_size() >= 1
+        stats = plan_cache_stats()
+        assert (stats.broadcast_misses, stats.broadcast_hits) == (50, 0)
+        assert (stats.reduce_misses, stats.reduce_hits) == (50, 0)
+        assert plan_cache_sizes() == {"broadcast": 0, "reduce": 0}
 
     def test_stack_digest_invalidated_on_writeback(self):
-        """Mutating a plane stack through the machine's store() must drop
-        the memoized digest so the next transaction re-hashes (and resolves
-        a fresh plan) instead of resurrecting the stale one."""
+        """Mutating a plane stack through the machine's store() is seen by
+        the next transaction (the stack is resolved per call)."""
         from repro.ppa import PPAConfig, PPAMachine
 
         clear_plan_cache()
@@ -318,24 +313,46 @@ class TestPlanCacheObservability:
         got = machine.broadcast(vals, Direction.EAST, L)
         assert np.array_equal(got, np.repeat(vals[:, :, 1:2], 4, axis=-1))
 
-    def test_stack_digest_memo_drops_dead_arrays(self):
-        """Garbage-collected stacks leave no memo entries behind (so a
-        recycled id() can never alias a stale digest)."""
+    @pytest.mark.parametrize("edit", ["setitem", "memory_write"])
+    def test_in_place_plane_edit_is_seen(self, edit):
+        """Editing a plane stack in place without store() — plain item
+        assignment or ParallelMemory.write — must change the next
+        broadcast and reduction, never replay the old plane's answer."""
+        from repro.ppa import PPAConfig, PPAMachine
+
         clear_plan_cache()
-        vals = np.zeros((2, 3, 3), dtype=np.int64)
-        base = stack_digest_memo_size()
-        for _ in range(50):
-            L = np.eye(3, dtype=bool)[None, :, :].repeat(2, axis=0)
-            segmented_reduce(vals, L, Direction.EAST, "or")
-            del L
-        assert stack_digest_memo_size() <= base + 1
+        machine = PPAMachine(PPAConfig(n=4, word_bits=8), batch=2)
+        L = machine.memory.declare("L", "logical")
+        L[:, :, 0] = True
+        vals = np.arange(32, dtype=np.int64).reshape(2, 4, 4)
+        zeros = np.zeros((2, 4, 4), dtype=bool)
+        before_b = machine.broadcast(vals, Direction.EAST, L)
+        before_r = machine.bus_reduce(vals, Direction.EAST, L, "min")
+        assert np.array_equal(before_b, np.repeat(vals[:, :, :1], 4, -1))
+        if edit == "setitem":
+            L[:, :, 0] = False
+            L[:, :, 2] = True
+        else:
+            moved = zeros.copy()
+            moved[:, :, 2] = True
+            machine.memory.write("L", moved)
+        got = machine.broadcast(vals, Direction.EAST, L)
+        assert np.array_equal(got, np.repeat(vals[:, :, 2:3], 4, axis=-1))
+        assert np.array_equal(
+            machine.bus_reduce(vals, Direction.EAST, L, "min"), before_r
+        )  # one cluster per ring either way
+        L[:, :, 0] = True  # two clusters per ring: columns {0, 1}, {2, 3}
+        got = machine.bus_reduce(vals, Direction.EAST, L, "min")
+        want = np.concatenate(
+            [np.repeat(vals[:, :, 0:1], 2, -1), np.repeat(vals[:, :, 2:3], 2, -1)],
+            axis=-1,
+        )
+        assert np.array_equal(got, want)
 
-    def test_invalidate_is_noop_for_unseen_arrays(self):
-        invalidate_stack_digest(np.zeros((2, 2, 2), dtype=bool))
-
-    def test_batched_mcp_hashes_each_stack_once(self):
-        """The batched MCP loop presents the same row-d plane stack every
-        round — the digest memo must collapse all of those to one hash."""
+    def test_batched_mcp_shared_planes_hit(self):
+        """The batched MCP issues its 2h wired-ORs per round against the
+        shared col_last plane: after the first resolution every one is a
+        plan-cache hit, while each per-lane transaction is one miss."""
         from repro.core.batched import batched_minimum_cost_path
         from repro.ppa import PPAConfig, PPAMachine
         from repro.workloads import WeightSpec, gnp_digraph
@@ -344,19 +361,24 @@ class TestPlanCacheObservability:
         machine = PPAMachine(PPAConfig(n=8, word_bits=16), batch=8)
         W = gnp_digraph(8, 0.4, seed=5, weights=WeightSpec(1, 9),
                         inf_value=machine.maxint)
-        reset_stack_digest_stats()
         res = batched_minimum_cost_path(
             machine, W, np.arange(8), engine="cycle"
         )
-        stats = stack_digest_stats()
+        stats = machine.counters.plan_cache
         rounds = int(res.iterations.max())
-        # Fresh (data-dependent) 3-D stacks are hashed once each: col_d at
-        # init plus the two bit-serial survivor planes per round. The
-        # stable row_d stack — re-presented as the statement-10 broadcast
-        # plane every round — hashes once and then hits the memo, where it
-        # previously re-hashed the whole (B*n^2,) pile per round.
-        assert stats["misses"] <= 2 + 2 * rounds
-        assert stats["hits"] >= rounds - 1
+        h = machine.word_bits
+        # Reductions: all against col_last, resolved once.
+        assert (stats.reduce_misses, stats.reduce_hits) == (
+            1, 2 * h * rounds - 1
+        )
+        # Broadcasts: col_d at init plus, per round, row_d and the two
+        # survivor planes are per-lane (misses); diag and col_last are
+        # shared and resolve once each.
+        assert stats.broadcast_misses == 1 + 3 * rounds + 2
+        assert stats.hits + stats.misses == res.counters["broadcasts"] + \
+            res.counters["reductions"]
+
+    def test_huge_plane_sweep_stays_bounded(self):
         """A sweep over 1000 distinct planes must evict, not accumulate."""
         clear_plan_cache()
         src = np.arange(16, dtype=np.int64).reshape(4, 4)
@@ -371,5 +393,74 @@ class TestPlanCacheObservability:
         sizes = plan_cache_sizes()
         assert sizes["broadcast"] <= segments._PLAN_CACHE_SIZE
         assert sizes["reduce"] <= segments._PLAN_CACHE_SIZE
-        assert sizes["broadcast_stacks"] <= segments._STACK_CACHE_SIZE
-        assert sizes["reduce_stacks"] <= segments._STACK_CACHE_SIZE
+
+
+PLANE_KINDS = ("one", "survivors", "undriven", "all", "dense")
+
+
+def _mcp_shaped_plane(kind, rng, B, n, direction):
+    """Per-lane (B, n, n) switch stacks of the shapes the MCP listing
+    presents, for rings along *direction*."""
+    ring_axis = -1 if direction.axis == 1 else -2
+    if kind == "one":  # row_d / col_d / a unique survivor
+        pos = rng.integers(0, n, size=(B, n))
+        plane = np.zeros((B, n, n), dtype=bool)
+        np.put_along_axis(plane, np.expand_dims(pos, ring_axis), True,
+                          axis=ring_axis)
+        return plane
+    if kind in ("survivors", "undriven"):  # min() survivors, with ties
+        vals = rng.integers(0, 6, size=(B, n, n))
+        plane = vals == vals.min(axis=ring_axis, keepdims=True)
+        if kind == "undriven":
+            dead = rng.random((B, n)) < 0.2
+            plane &= ~np.expand_dims(dead, ring_axis)
+        return plane
+    if kind == "all":
+        return np.ones((B, n, n), dtype=bool)
+    return rng.random((B, n, n)) < 0.5  # dense random
+
+
+class TestFastPathSizes:
+    """Seeded checks at the sizes where the ring-axis, word-fold and
+    segment-fill paths engage, against the 2-D kernel run lane by lane."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("kind", PLANE_KINDS)
+    @pytest.mark.parametrize("B", [1, 3, 64])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_matches_per_lane_kernel(self, n, B, kind, direction, strict):
+        seed = [n, B, PLANE_KINDS.index(kind), DIRECTIONS.index(direction),
+                int(strict)]
+        rng = np.random.default_rng(seed)
+        stack = _mcp_shaped_plane(kind, rng, B, n, direction)
+        words = rng.integers(0, 1 << 16, size=(B, n, n))
+        bits = rng.random((B, n, n)) < 0.3
+        ring_axis = -1 if direction.axis == 1 else -2
+        for plane in (stack, stack[0]):  # per-lane stack, shared plane
+            lanes = plane if plane.ndim == 3 else [plane] * B
+            undriven = np.stack([~p.any(axis=ring_axis) for p in lanes])
+            cases = [("broadcast", None, words)] + [
+                ("reduce", op, bits if op in ("or", "and") else words)
+                for op in ("or", "and", "min", "max", "sum")
+            ]
+            for what, op, vals in cases:
+                def run(v, p, what=what, op=op):
+                    if what == "broadcast":
+                        return broadcast_values(v, p, direction,
+                                                strict=strict)
+                    return segmented_reduce(v, p, direction, op,
+                                            strict=strict)
+
+                if strict and undriven.any():
+                    lane, ring = np.argwhere(undriven)[0]
+                    where = (f"lane {lane} ring {ring}" if plane.ndim == 3
+                             else f"ring {ring}")
+                    with pytest.raises(BusError, match=where):
+                        run(vals, plane)
+                    continue
+                got = run(vals, plane)
+                want = np.stack([run(vals[b], lanes[b]) for b in range(B)])
+                assert got.dtype == want.dtype, (what, op)
+                assert np.array_equal(got, want), (what, op)
+                assert got.flags.writeable and got.flags.c_contiguous

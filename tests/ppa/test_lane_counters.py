@@ -113,6 +113,89 @@ class TestLaneCounters:
         assert LaneCounters.total_of(delta)["alu_ops"] == 6
 
 
+class TestDeferredCharges:
+    """Charges under one selection are summed as scalars and applied at
+    the next selection change or read; every read must see exactly what
+    eager per-charge accumulation would have produced."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaving_matches_eager_accumulation(self, seed):
+        rng = np.random.default_rng(seed)
+        lanes = int(rng.integers(1, 9))
+        names = CycleCounters.field_names()
+        lc = LaneCounters(lanes)
+        eager = {name: np.zeros(lanes, dtype=np.int64) for name in names}
+        selected = np.ones(lanes, dtype=bool)
+        snaps = []
+        for _ in range(300):
+            action = rng.choice(["charge", "masked", "select", "read"],
+                                p=[0.6, 0.1, 0.15, 0.15])
+            if action in ("charge", "masked"):
+                inc = {str(name): int(rng.integers(0, 50))
+                       for name in rng.choice(names, size=rng.integers(1, 4),
+                                              replace=False)}
+                if action == "charge":
+                    lc.add(inc)
+                    mask = selected
+                else:
+                    mask = rng.random(lanes) < 0.5
+                    lc.add(inc, mask=mask)
+                for name, value in inc.items():
+                    eager[name][mask] += value
+            elif action == "select":
+                if rng.random() < 0.25:
+                    lc.select(None)
+                    selected = np.ones(lanes, dtype=bool)
+                else:
+                    selected = rng.random(lanes) < 0.5
+                    lc.select(selected)
+                assert np.array_equal(lc.selected, selected)
+            else:
+                read = rng.choice(["snapshot", "diff", "lane", "total"])
+                if read == "snapshot":
+                    snaps.append((lc.snapshot(),
+                                  {k: v.copy() for k, v in eager.items()}))
+                    got, want = snaps[-1]
+                elif read == "diff" and snaps:
+                    got = lc.diff(snaps[0][0])
+                    want = {k: eager[k] - snaps[0][1][k] for k in names}
+                elif read == "lane":
+                    b = int(rng.integers(lanes))
+                    got = lc.lane(b)
+                    want = {k: int(eager[k][b]) for k in names}
+                else:
+                    got = lc.total()
+                    want = {k: int(eager[k].sum()) for k in names}
+                for name in names:
+                    assert np.array_equal(got[name], want[name]), name
+        other = LaneCounters(lanes)
+        other.add({"alu_ops": 3})
+        lc.merge(other)
+        eager["alu_ops"] += 3
+        assert all(np.array_equal(lc.snapshot()[k], eager[k]) for k in names)
+
+    def test_selection_outlives_reads_and_reset(self):
+        lc = LaneCounters(3)
+        lc.select(np.array([True, False, True]))
+        lc.add({"shifts": 2})
+        assert lc.snapshot()["shifts"].tolist() == [2, 0, 2]
+        lc.add({"shifts": 1})
+        lc.reset()  # drops pending charges too
+        assert lc.total()["shifts"] == 0
+        lc.add({"shifts": 5})
+        assert lc.snapshot()["shifts"].tolist() == [5, 0, 5]
+        assert lc.selected.tolist() == [True, False, True]
+
+    def test_select_copies_its_mask(self):
+        lc = LaneCounters(2)
+        mask = np.array([True, False])
+        lc.select(mask)
+        lc.add({"alu_ops": 1})
+        mask[1] = True  # the caller's array, edited after the charge
+        lc.add({"alu_ops": 1})
+        assert lc.snapshot()["alu_ops"].tolist() == [2, 0]
+
+
 class TestBatchedMachineCtor:
     def test_unbatched_has_no_lane_counters(self):
         m = PPAMachine(PPAConfig(n=4))

@@ -1,11 +1,12 @@
 """Plan-cache eviction under interleaved workloads.
 
-The four module-wide LRUs in :mod:`repro.ppa.segments` — per-plane
-broadcast/reduce plans and assembled batched stack plans — are host-side
-accelerators. They must (a) stay within their documented bounds no matter
-how many distinct machines/workloads hammer them, (b) evict least-recently
-used entries first, and (c) never leak hit/miss accounting into any
-machine counter snapshot.
+The two module-wide LRUs in :mod:`repro.ppa.segments` — shared-plane
+broadcast and reduce plans — are host-side accelerators; per-lane plane
+stacks are resolved per call and never cached. The LRUs must (a) stay
+within their documented bound no matter how many distinct
+machines/workloads hammer them, (b) evict least-recently used entries
+first, and (c) never leak hit/miss accounting into any machine counter
+snapshot.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from repro.ppa import FaultKind, FaultPlan, PPAConfig, PPAMachine
 from repro.ppa.directions import EAST
 from repro.ppa.segments import (
     _PLAN_CACHE_SIZE,
-    _STACK_CACHE_SIZE,
     _broadcast_plans,
     clear_plan_cache,
     plan_cache_sizes,
@@ -69,7 +69,6 @@ def _run_faulted(n, row, col, seed=0):
 class TestBounds:
     def test_documented_bounds(self):
         assert _PLAN_CACHE_SIZE == 64
-        assert _STACK_CACHE_SIZE == 16
 
     def test_interleaved_workloads_stay_bounded(self):
         """Serial, batched and faulted runs over many shapes interleaved:
@@ -80,10 +79,9 @@ class TestBounds:
             if n >= 3:
                 _run_faulted(n, row=1, col=n // 2, seed=i)
             sizes = plan_cache_sizes()
+            assert set(sizes) == {"broadcast", "reduce"}
             assert sizes["broadcast"] <= _PLAN_CACHE_SIZE
             assert sizes["reduce"] <= _PLAN_CACHE_SIZE
-            assert sizes["broadcast_stacks"] <= _STACK_CACHE_SIZE
-            assert sizes["reduce_stacks"] <= _STACK_CACHE_SIZE
 
     def test_plane_churn_saturates_at_bound(self):
         """Enough distinct planes to overflow: the per-plane LRU pins at
@@ -96,15 +94,18 @@ class TestBounds:
             machine.broadcast(data, EAST, plane)
         assert plan_cache_sizes()["broadcast"] == _PLAN_CACHE_SIZE
 
-    def test_stack_churn_saturates_at_bound(self):
-        """Distinct batched stacks overflow the 16-entry stack LRU."""
+    def test_stack_churn_adds_no_cache_entries(self):
+        """Distinct batched stacks are resolved per call: however many
+        pass through, they leave no plan behind."""
         machine = PPAMachine(PPAConfig(n=4, word_bits=16), batch=3)
         data = np.ones((3, 4, 4), dtype=np.int64)
         rng = np.random.default_rng(1)
-        for _ in range(_STACK_CACHE_SIZE + 10):
+        for _ in range(_PLAN_CACHE_SIZE + 10):
             stack = rng.random((3, 4, 4)) < 0.5
             machine.broadcast(data, EAST, stack)
-        assert plan_cache_sizes()["broadcast_stacks"] == _STACK_CACHE_SIZE
+            machine.bus_reduce(data, EAST, stack, "sum")
+        assert plan_cache_sizes() == {"broadcast": 0, "reduce": 0}
+        assert machine.counters.plan_cache.misses == 2 * (_PLAN_CACHE_SIZE + 10)
 
 
 class TestLRUOrder:
