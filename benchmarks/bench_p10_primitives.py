@@ -94,3 +94,32 @@ def test_p10_batched_dense_stack_represented(benchmark, lanes64):
     the case a content-keyed stack cache would serve from memory."""
     machine, vals, _row_d, _survivors, dense = lanes64
     benchmark(lambda: machine.broadcast(vals, Direction.EAST, dense))
+
+
+# -- The listings' own word planes at B = n = 64 (uint16 for h = 16) --
+
+
+def test_p10_batched_word_min(benchmark, lanes64):
+    """min() on a word-dtype SOW stack against the shared col_last plane:
+    h wired-ORs and the two delivery broadcasts."""
+    machine, vals, *_ = lanes64
+    sow = vals.astype(machine.word_dtype)
+    col_last = machine.col_index == B64 - 1
+    benchmark(lambda: ppa_min(machine, sow, Direction.WEST, col_last))
+
+
+def test_p10_batched_word_sat_add_store(benchmark, lanes64):
+    """Statement 10's arithmetic on word planes: sat_add of a SOW stack
+    and W (summed one dtype wider), stored back under the per-lane
+    off-row-d mask."""
+    machine, vals, row_d, *_ = lanes64
+    word = machine.word_dtype
+    sow = vals.astype(word)
+    W = vals[0].astype(word)
+    dest = machine.new_parallel(0, word)
+
+    def statement_10():
+        with machine.where(~row_d):
+            machine.store(dest, machine.sat_add(sow, W))
+
+    benchmark(statement_10)

@@ -257,7 +257,9 @@ def batched_minimum_cost_path(
     if ((dest < 0) | (dest >= n)).any():
         bad = int(dest[(dest < 0) | (dest >= n)][0])
         raise GraphError(f"destination {bad} outside [0, {n})")
-    Wm = _normalize_lane_weights(W, machine, batch, zero_diagonal)
+    # Every plane of the listing is a word plane (see new_parallel).
+    word = machine.word_dtype
+    Wm = _normalize_lane_weights(W, machine, batch, zero_diagonal).astype(word)
     if max_iterations is None:
         max_iterations = n + 1
 
@@ -272,7 +274,7 @@ def batched_minimum_cost_path(
         with tele.span("mcp.batched", arch="ppa", n=n, lanes=batch):
             with tele.span("mcp.init"):
                 ROW = machine.row_index
-                COL = machine.col_index
+                COL = machine.col_index.astype(word)
                 # Per-lane planes where the destination enters; shared 2-D
                 # planes (diag, col_last) keep the one-plan fast path.
                 row_d = ROW[None, :, :] == dest[:, None, None]
@@ -280,9 +282,9 @@ def batched_minimum_cost_path(
                 col_last = COL == (n - 1)
                 machine.count_alu(3)
 
-                SOW = machine.new_parallel(0)
-                PTN = machine.new_parallel(0)
-                MIN_SOW = machine.new_parallel(0)
+                SOW = machine.new_parallel(0, word)
+                PTN = machine.new_parallel(0, word)
+                MIN_SOW = machine.new_parallel(0, word)
 
                 # Statements 4-7 with the directed-graph init transposition
                 # (see core/mcp.py): fan column d across the rows, then the

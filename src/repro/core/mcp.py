@@ -139,7 +139,10 @@ def minimum_cost_path(
             max_iterations=max_iterations,
             warm_sow=warm_sow,
         )
+    # Every plane of the listing is a word plane (see new_parallel).
+    word = machine.word_dtype
     Wm = normalize_weights(W, machine, zero_diagonal=zero_diagonal)
+    Wm = Wm.astype(word)
     n = machine.n
     if not (0 <= d < n):
         raise GraphError(f"destination {d} outside [0, {n})")
@@ -153,15 +156,15 @@ def minimum_cost_path(
     with tele.span("mcp", arch="ppa", n=n, d=d):
         with tele.span("mcp.init"):
             ROW = machine.row_index
-            COL = machine.col_index
+            COL = machine.col_index.astype(word)
             row_d = ROW == d
             diag = ROW == COL
             col_last = COL == (n - 1)
             machine.count_alu(3)
 
-            SOW = machine.new_parallel(0)
-            PTN = machine.new_parallel(0)
-            MIN_SOW = machine.new_parallel(0)
+            SOW = machine.new_parallel(0, word)
+            PTN = machine.new_parallel(0, word)
+            MIN_SOW = machine.new_parallel(0, word)
 
             # Statements 4-7: initialise the d-th row with 1-edge paths.
             #

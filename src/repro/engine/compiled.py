@@ -230,10 +230,15 @@ def edge_relax(sow: np.ndarray, edges: EdgeList, maxint: int):
     nnz = int(edges.cols.size)
     if nnz:
         sow_key = sow2 << shift
-        lanes = max(1, _BLOCK_TARGET_BYTES // (8 * nnz))
+        lanes = min(B, max(1, _BLOCK_TARGET_BYTES // (8 * nnz)))
+        # One gather buffer serves every lane chunk of the call.
+        gather = np.empty((lanes, nnz), dtype=sow_key.dtype)
         for b0 in range(0, B, lanes):
             b1 = min(b0 + lanes, B)
-            cand = np.take(sow_key[b0:b1], edges.cols, axis=1)
+            cand = gather[: b1 - b0]
+            # edge_list builds in-range columns, so "clip" never clips; it
+            # spares "raise" its bounds-checked copy of the output.
+            np.take(sow_key[b0:b1], edges.cols, axis=1, out=cand, mode="clip")
             cand += edges.keys
             row_min = np.minimum.reduceat(cand, edges.starts, axis=1)
             if edges.rows is None:

@@ -36,11 +36,16 @@ that grows faster than linearly fails the check and raises
 
 Cache key
 ---------
-The key is the full (frozen, hashable) :class:`PPAConfig`, although only
-the LINEAR model makes the vector depend on ``n``. The vector does
-**not** depend on the lane count ``B``: a batched machine charges its
-scalar counters once per SIMD instruction — the same increments a serial
-machine charges — and its per-lane ledger replicates those increments
+The key is the (frozen, hashable) :class:`PPAConfig` with ``n`` dropped
+unless the bus-cost model is LINEAR: under UNIT every bus transaction
+costs one cycle whatever the grid side, so the vector is the same at
+every ``n`` and a process meeting several grid sizes derives it once.
+The vector returned carries the requested ``config``; its
+``probe_iterations`` are those of the replays that derived the cached
+entry. The vector does **not** depend on the lane count ``B`` either: a
+batched machine charges its scalar counters once per SIMD instruction —
+the same increments a serial machine charges — and its per-lane ledger
+replicates those increments
 into each active lane (see :meth:`repro.ppa.machine.PPAMachine._charge`).
 The fused engine therefore applies ``init + iterations[b] * iteration``
 per lane and ``init + rounds * iteration`` to the scalar book, which the
@@ -62,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EngineError
-from repro.ppa.topology import PPAConfig
+from repro.ppa.topology import BusCostModel, PPAConfig
 
 __all__ = [
     "MCPCostVector",
@@ -233,30 +238,41 @@ def _probe(config: PPAConfig) -> MCPCostVector:
     )
 
 
+def _cache_key(config: PPAConfig) -> PPAConfig:
+    """The configuration *config*'s vector is cached under: ``n`` only
+    enters the vector through the LINEAR bus-cost model."""
+    if config.bus_cost_model is BusCostModel.LINEAR:
+        return config
+    return dataclasses.replace(config, n=1)
+
+
 def mcp_cost_vector(config: PPAConfig) -> MCPCostVector:
     """The (cached) exact MCP cost vector for *config*.
 
-    The first call per configuration replays three tiny MCPs on scratch
-    cycle machines of side 3, 4 and 5 (about 20 ms at any ``n``; smaller
-    grids replay once at their own size); later calls are a dictionary
-    lookup. Concurrent first calls for one configuration derive it once:
-    the others wait and hit. The replays may warm the module-wide
+    The first call per cache key (the configuration, without ``n`` under
+    the UNIT bus-cost model) replays three tiny MCPs on scratch cycle
+    machines of side 3, 4 and 5 (about 20 ms at any ``n``; smaller grids
+    replay once at their own size); later calls are a dictionary lookup.
+    Concurrent first calls for one key derive it once: the others wait
+    and hit. The replays may warm the module-wide
     bus-plan caches exactly as any cycle run would — plan-cache state
     never affects counters (host-side metric), which ``tests/engine/``
     pins.
     """
+    key = _cache_key(config)
     with _lock:
-        vector = _cache.pop(config, None)
+        vector = _cache.pop(key, None)
         if vector is not None:
-            _cache[config] = vector  # refresh LRU position
             _stats["hits"] += 1
-            return vector
-        _stats["misses"] += 1
-        vector = _probe(config)
-        _cache[config] = vector
+        else:
+            _stats["misses"] += 1
+            vector = _probe(config)
+        _cache[key] = vector  # (re)insert as most recently used
         while len(_cache) > _COST_CACHE_SIZE:
             _cache.popitem(last=False)
-        return vector
+    if vector.config != config:
+        vector = dataclasses.replace(vector, config=config)
+    return vector
 
 
 def clear_cost_cache() -> None:

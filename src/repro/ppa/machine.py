@@ -66,6 +66,26 @@ __all__ = ["PPAMachine", "check_broadcast_conflicts"]
 
 _RING_SENTINEL = np.int64(1) << 62
 
+#: Carriers of narrow word planes, narrowest first, each mapped to the
+#: next wider unsigned dtype, which holds the carry of a sum of two words.
+#: Words past 32 bits ride in int64, which holds ``MAXINT + MAXINT`` for
+#: every width up to 62 bits.
+_NARROW_WORDS = {
+    np.dtype(np.uint8): np.dtype(np.uint16),
+    np.dtype(np.uint16): np.dtype(np.uint32),
+    np.dtype(np.uint32): np.dtype(np.uint64),
+}
+
+
+def _word_dtype(config: PPAConfig) -> np.dtype:
+    """The narrowest unsigned dtype holding ``MAXINT`` and every PE index
+    (``n - 1``), or int64 past 32 bits."""
+    top = max(config.maxint, config.n - 1)
+    for dtype in _NARROW_WORDS:
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.dtype(np.int64)
+
 
 def check_broadcast_conflicts(src, plane, direction: Direction) -> None:
     """Dynamic bus-race detector for one broadcast transaction.
@@ -161,6 +181,10 @@ class PPAMachine:
         self.telemetry = Tracer(self.counters)
         self._mask_stack: list[np.ndarray] = []
         self._faults: FaultPlan | None = None
+        #: dtype of the MCP listings' word planes (see :meth:`new_parallel`)
+        self.word_dtype = _word_dtype(config)
+        #: dtype :meth:`sat_add` adds word-dtype operands in
+        self._carry_dtype = _NARROW_WORDS.get(self.word_dtype)
 
     # ------------------------------------------------------------------
     # Geometry
@@ -253,18 +277,32 @@ class PPAMachine:
         plain full-grid assignment. Batched machines store per-lane stacks
         the same way; the ``where`` mask broadcasts across lanes when it is
         a shared plane.
+
+        *value* is cast to ``dest.dtype`` as it is written, with no
+        temporary: a :meth:`sat_add` result in the carry dtype lands in a
+        word plane directly. The cast wraps like ``astype``; a word plane
+        holds every value in ``[0, MAXINT]``.
         """
-        value = np.broadcast_to(np.asarray(value, dtype=dest.dtype), dest.shape)
         if self._mask_stack:
-            np.copyto(dest, value, where=self._mask_stack[-1])
+            np.copyto(dest, value, casting="unsafe",
+                      where=self._mask_stack[-1])
         else:
-            dest[...] = value
+            np.copyto(dest, value, casting="unsafe")
         self.count_alu()
         return dest
 
     def new_parallel(self, init=0, dtype=np.int64) -> np.ndarray:
         """Allocate an anonymous parallel value (full-grid array, one layer
-        per lane on a batched machine)."""
+        per lane on a batched machine).
+
+        The default dtype is int64. The MCP listings allocate their word
+        planes — costs and successor indices alike — at
+        :attr:`word_dtype`: the narrowest unsigned dtype that holds
+        ``MAXINT`` and every PE index (uint16 for 16-bit words), int64 past
+        32 bits. Index planes stay word-wide rather than index-wide so a
+        transient flip of any bit below ``h`` lands in the plane (see
+        :meth:`repro.ppa.faults.FaultPlan.corrupt`).
+        """
         return np.full(self.parallel_shape, init, dtype=dtype)
 
     # ------------------------------------------------------------------
@@ -497,10 +535,24 @@ class PPAMachine:
 
         ``MAXINT`` absorbs, so "infinity plus anything is infinity" holds
         for the shortest-path sentinel.
+
+        Operands that cast safely to a narrow :attr:`word_dtype` (word
+        planes, narrower unsigned and boolean planes) are added in the
+        next wider unsigned dtype, which holds the carry of any two
+        words, and the clipped sum is returned in that dtype; store it
+        into a word plane with :meth:`store`, which casts in place. Other
+        operands (signed, wider, float, Python scalars) and machines whose
+        word is past 32 bits add in int64, as before.
         """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.minimum(a + b, self.maxint)
+        a, b = np.asarray(a), np.asarray(b)
+        word, carry = self.word_dtype, self._carry_dtype
+        if (carry is not None and np.can_cast(a.dtype, word)
+                and np.can_cast(b.dtype, word)):
+            out = np.add(a, b, dtype=carry)
+        else:
+            out = np.add(np.asarray(a, dtype=np.int64),
+                         np.asarray(b, dtype=np.int64))
+        np.minimum(out, self.maxint, out=out)
         self.count_alu()
         return out
 
@@ -514,21 +566,23 @@ class PPAMachine:
             )
         return arr.copy()
 
-    def bit(self, src, j: int) -> np.ndarray:
-        """Parallel ``bit(x, j)``: boolean plane of bit *j* of *src*."""
+    def bit(self, src, j: int, *, out: np.ndarray | None = None) -> np.ndarray:
+        """Parallel ``bit(x, j)``: boolean plane of bit *j* of *src*,
+        written into *out* when given (a reused bool buffer)."""
         if not (0 <= j < self.word_bits):
             raise WordWidthError(
                 f"bit index {j} outside word of {self.word_bits} bits"
             )
         self.count_alu()
         src = np.asarray(src)
-        mask = 1 << j
-        # Test in the input's own integer dtype when the mask fits it (a
-        # narrow plane is cheaper to sweep); otherwise widen to int64,
-        # whose two's complement gives negative values their sign bits.
-        if src.dtype.kind not in "iu" or mask > np.iinfo(src.dtype).max:
+        # Test in the input's own integer dtype when bit j lies below its
+        # sign bit (a narrow plane is cheaper to sweep); otherwise widen to
+        # int64, whose two's complement gives negative values their sign
+        # bits.
+        kind = src.dtype.kind
+        if kind not in "iu" or j >= 8 * src.dtype.itemsize - (kind == "i"):
             src = src.astype(np.int64)
-        return (src & mask) != 0
+        return np.not_equal(src & (1 << j), 0, out=out)
 
     # ------------------------------------------------------------------
 

@@ -222,24 +222,40 @@ def _deliver_rings(vals: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
     return np.repeat(np.expand_dims(vals, axis), shape[axis], axis=axis)
 
 
-#: A boolean wired-OR (AND) along rows folds eight PEs into each uint64
-#: word: on 0/1 bytes a word-wise OR (AND) is the byte-wise max (min).
+#: A boolean wired-OR (AND) along rows packs each row into bits and folds
+#: the row's words: on bits a word-wise OR (AND) is the PE-wise max (min).
 _WORD_FOLDS = {np.maximum: np.bitwise_or, np.minimum: np.bitwise_and}
-_ALL_ONES = np.uint64(0x0101010101010101)
+
+
+def _row_word(row_bytes: int) -> np.dtype:
+    """The widest unsigned word that tiles a packed row of *row_bytes*."""
+    for size in (8, 4, 2):
+        if row_bytes % size == 0:
+            return np.dtype(f"u{size}")
+    return np.dtype(np.uint8)
 
 
 def _reduce_rings(v: np.ndarray, ufunc, axis: int) -> np.ndarray:
     """Reduce every ring along the raw ring *axis* (each ring one cluster)
     and deliver the result to all of its PEs."""
     fold = _WORD_FOLDS.get(ufunc)
+    n = v.shape[-1]
     if (axis == -1 and fold is not None and v.dtype == np.bool_
-            and v.shape[-1] % 8 == 0 and v.flags.c_contiguous):
-        # numpy's row-wise reduce pays per row; fold word columns instead.
-        words = v.view(np.uint64)
-        acc = words[..., 0].copy()
-        for k in range(1, words.shape[-1]):
-            fold(acc, words[..., k], out=acc)
-        red = (acc != 0) if fold is np.bitwise_or else (acc == _ALL_ONES)
+            and n % 8 == 0 and v.flags.c_contiguous):
+        # numpy's row-wise reduce pays per row; pack the rows into bits
+        # (one pass) and fold each row's word columns instead.
+        word = _row_word(n // 8)
+        words = np.packbits(v.reshape(-1)).view(word)
+        words = words.reshape(*v.shape[:-1], -1)
+        acc = words[..., 0]
+        if words.shape[-1] > 1:
+            acc = acc.copy()
+            for k in range(1, words.shape[-1]):
+                fold(acc, words[..., k], out=acc)
+        if fold is np.bitwise_or:
+            red = acc != 0
+        else:
+            red = acc == np.iinfo(word).max
     else:
         red = ufunc.reduce(v, axis=axis)
     return _deliver_rings(red, v.shape, axis)

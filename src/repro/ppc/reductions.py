@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 
+def _word_operand(src) -> np.ndarray:
+    """*src* as an integer plane: integer planes keep their dtype (a word
+    plane stays narrow), anything else is read as int64."""
+    src = np.asarray(src)
+    return src if src.dtype.kind in "iu" else src.astype(np.int64)
+
+
 def _bit_serial_survivors(
     machine: PPAMachine,
     src: np.ndarray,
@@ -45,25 +52,32 @@ def _bit_serial_survivors(
 ) -> np.ndarray:
     """Statements 8-10 of the paper's ``min()``: MSB-first elimination.
 
-    Returns the final ``enable`` plane: within each cluster, exactly the
-    nodes (among the initially enabled ones) holding the minimum value.
+    Returns the final ``enable`` plane, a fresh array: within each
+    cluster, exactly the nodes (among the initially enabled ones) holding
+    the minimum value.
     """
     h = machine.word_bits
     # Bits j < h survive the wrap-around cast, negative and over-word
-    # values included; the narrow copy makes every bit() sweep cheaper.
-    src = src.astype(np.min_scalar_type(machine.maxint))
+    # values included; a word plane is used as it is.
+    src = src.astype(machine.word_dtype, copy=False)
     enable = enable.copy()
+    # Two bool planes serve all h bit steps: the bit slice and the
+    # wired-OR's operand (then the elimination mask).
+    bit_j = np.empty(src.shape, dtype=bool)
+    drive = np.empty(enable.shape, dtype=bool)
     tele = machine.telemetry
     for j in range(h - 1, -1, -1):
         with tele.span("min.bit_slice", j=j):
-            bit_j = machine.bit(src, j)
+            machine.bit(src, j, out=bit_j)
             # or(!bit(src, j) && enable, orientation, L): one wired-OR
             # delivers the cluster-level "a zero exists at this bit" flag
-            # to every node.
-            zero_seen = machine.bus_or(~bit_j & enable, orientation, L)
+            # to every node. On bools, enable > bit_j is enable && !bit_j.
+            np.greater(enable, bit_j, out=drive)
+            zero_seen = machine.bus_or(drive, orientation, L)
             machine.count_alu(2)  # the &,~ above
             # where (zero_seen && bit_j) enable = 0;
-            enable &= ~(zero_seen & bit_j)
+            np.logical_and(zero_seen, bit_j, out=drive)
+            np.greater(enable, drive, out=enable)
             machine.count_alu(2)
     return enable
 
@@ -86,8 +100,12 @@ def _deliver_min(
     with machine.telemetry.span("min.deliver"):
         to_heads = machine.broadcast(src, opposite(orientation), enable)
         L = as_switch_plane(L, machine.shape, lanes=machine.batch)
-        staged = np.where(L, to_heads, src)
-        machine.count_alu()  # the masked store of statement 12
+        # The masked store of statement 12, into a copy of src.
+        shape = np.broadcast_shapes(to_heads.shape, L.shape)
+        staged = np.array(np.broadcast_to(src, shape),
+                          dtype=np.result_type(src, to_heads))
+        np.copyto(staged, to_heads, where=L)
+        machine.count_alu()
         return machine.broadcast(staged, orientation, L)
 
 
@@ -99,7 +117,7 @@ def ppa_min(machine: PPAMachine, src, orientation: Direction, L) -> np.ndarray:
     O(h) bus transactions for h-bit words.
     """
     with machine.telemetry.span("min"):
-        src = np.asarray(src, dtype=np.int64)
+        src = _word_operand(src)
         # parallel logical enable = 1 (per lane on a batched machine)
         enable = np.ones(
             np.broadcast_shapes(src.shape, machine.parallel_shape), dtype=bool
@@ -128,10 +146,8 @@ def ppa_selected_min(
     the MCP algorithm never produces one (a minimum achiever always exists).
     """
     with machine.telemetry.span("selected_min"):
-        src = np.asarray(src, dtype=np.int64)
-        enable = as_switch_plane(
-            selected, machine.shape, lanes=machine.batch
-        ).copy()
+        src = _word_operand(src)
+        enable = as_switch_plane(selected, machine.shape, lanes=machine.batch)
         machine.count_alu()
         enable = _bit_serial_survivors(machine, src, orientation, L, enable)
         return _deliver_min(machine, src, orientation, L, enable)

@@ -129,9 +129,47 @@ class TestCache:
     def test_distinct_configs_probe_separately(self):
         mcp_cost_vector(PPAConfig(n=5, word_bits=16))
         mcp_cost_vector(PPAConfig(n=5, word_bits=8))
-        mcp_cost_vector(PPAConfig(n=6, word_bits=16))
+        mcp_cost_vector(
+            PPAConfig(n=6, word_bits=16, bus_cost_model=BusCostModel.LINEAR)
+        )
         assert cost_cache_stats()["misses"] == 3
         assert cost_cache_size() == 3
+
+    @pytest.mark.parametrize("model", list(BusCostModel), ids=lambda m: m.name)
+    def test_grid_side_keys_the_cache_only_under_linear(self, model):
+        """UNIT vectors do not depend on n, so three grid sizes derive
+        once; LINEAR ones do, so each size derives its own. Every lookup
+        returns a vector for the configuration it asked for."""
+        sides = (64, 128, 256)
+        for n in sides:
+            config = PPAConfig(n=n, word_bits=16, bus_cost_model=model)
+            vec = mcp_cost_vector(config)
+            assert vec.config == config
+            fresh = costs._probe(config)
+            assert (vec.init, vec.iteration) == (fresh.init, fresh.iteration)
+        linear = model is BusCostModel.LINEAR
+        misses = len(sides) if linear else 1
+        assert cost_cache_stats() == {
+            "hits": len(sides) - misses, "misses": misses,
+        }
+        assert cost_cache_size() == misses
+
+    @pytest.mark.parametrize("word_bits", [8, 16])
+    @pytest.mark.parametrize(
+        "torus, strict", list(itertools.product([True, False], repeat=2))
+    )
+    def test_unit_vector_is_the_same_at_every_grid_side(
+        self, word_bits, torus, strict
+    ):
+        """The premise of the UNIT cache key, from fresh derivations."""
+        vectors = [
+            costs._probe(PPAConfig(n=n, word_bits=word_bits, torus=torus,
+                                   strict_bus=strict))
+            for n in (1, 2, 3, 5, 6, 64, 256)
+        ]
+        for vec in vectors[1:]:
+            assert vec.init == vectors[0].init
+            assert vec.iteration == vectors[0].iteration
 
     def test_clear_cache_forces_reprobe(self):
         config = PPAConfig(n=4, word_bits=16)
@@ -144,8 +182,9 @@ class TestCache:
         assert first.iteration == second.iteration
 
     def test_lru_stays_bounded(self):
-        for n in range(2, 2 + _COST_CACHE_SIZE + 8):
-            mcp_cost_vector(PPAConfig(n=n, word_bits=16))
+        for word_bits in range(2, 2 + _COST_CACHE_SIZE + 8):
+            mcp_cost_vector(PPAConfig(n=4, word_bits=word_bits))
+        assert cost_cache_stats()["misses"] == _COST_CACHE_SIZE + 8
         assert cost_cache_size() == _COST_CACHE_SIZE
 
     def test_racing_threads_derive_once(self):

@@ -315,6 +315,27 @@ def test_or_matches_naive(case):
     assert np.array_equal(got.astype(bool), want.astype(bool))
 
 
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 64, 128])
+@pytest.mark.parametrize("op", ["or", "and"])
+def test_packed_row_wired_or_and_match_naive(n, op):
+    """Boolean row reductions with whole-row clusters pack each row into
+    words of 1, 2, 4 or 8 bytes (one or several per row); sparse, dense,
+    empty and full rows all agree with the naive ring walk."""
+    rng = np.random.default_rng(n)
+    density = rng.choice([0.0, 0.02, 0.5, 0.98, 1.0], size=(n, 1))
+    bits = rng.random((n, n)) < density
+    bits[0] = False
+    bits[0, -1] = True  # only the last PE set: in the row's last word
+    bits[1] = True
+    bits[1, -1] = False  # only the last PE clear
+    for direction in (Direction.EAST, Direction.WEST):
+        for opens in (np.zeros((n, n), bool), np.eye(n, dtype=bool)[::-1]):
+            got = segmented_reduce(bits, opens, direction, op)
+            want = naive_reduce(bits, opens, direction, op)
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+
+
 @given(grid_case())
 def test_broadcast_idempotent(case):
     """Broadcasting a broadcast result again with the same L is a no-op."""
