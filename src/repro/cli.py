@@ -310,12 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline")
     serve.add_argument("--seed", type=int, default=0,
                        help="retry-jitter RNG seed")
-    serve.add_argument("--coalesce-window-ms", type=float, default=2.0,
-                       help="how long a micro-batch collects concurrent "
-                       "column requests before dispatching")
     serve.add_argument("--max-lanes", type=int, default=32,
-                       help="distinct destinations per coalesced batch "
-                       "(a full batch dispatches early)")
+                       help="distinct destinations per coalesced batch: "
+                       "column requests that arrive in one event-loop "
+                       "turn share a batch, which dispatches at the end "
+                       "of that turn, or at once when full")
     serve.add_argument(
         "--no-coalesce",
         action="store_true",
@@ -1284,7 +1283,6 @@ def _cmd_serve(args) -> int:
         default_deadline_ms=args.deadline_ms,
         seed=args.seed,
         coalesce=not args.no_coalesce,
-        coalesce_window_ms=args.coalesce_window_ms,
         max_lanes=args.max_lanes,
     )
 

@@ -22,7 +22,8 @@ import numpy as np
 from repro.errors import GraphError, WordWidthError
 from repro.ppa.machine import PPAMachine
 
-__all__ = ["INF", "normalize_weights", "max_finite_weight"]
+__all__ = ["INF", "normalize_weights", "max_finite_weight",
+           "check_word_headroom"]
 
 INF = float("inf")
 """Convenience sentinel accepted (alongside ``machine.maxint``) for
@@ -108,16 +109,22 @@ def normalize_weights(
         raise GraphError(f"unknown zero_diagonal mode {zero_diagonal!r}")
 
     if check_headroom:
-        wmax = max_finite_weight(out, maxint)
-        n = out.shape[0]
-        if wmax > 0 and (n - 1) * wmax >= maxint:
-            raise WordWidthError(
-                f"a {n - 1}-edge path of weight-{wmax} edges would reach "
-                f"MAXINT={maxint}; increase word_bits (need > "
-                f"{int(np.ceil(np.log2((n - 1) * wmax + 2)))}) or rescale "
-                "weights"
-            )
+        check_word_headroom(out.shape[0], max_finite_weight(out, maxint),
+                            maxint)
     return out
+
+
+def check_word_headroom(n: int, wmax: int, maxint: int) -> None:
+    """Raise :class:`WordWidthError` unless an ``n-1``-edge path of
+    weight-*wmax* edges stays below ``MAXINT`` (saturation would alias a
+    real cost with "unreachable")."""
+    if wmax > 0 and (n - 1) * wmax >= maxint:
+        raise WordWidthError(
+            f"a {n - 1}-edge path of weight-{wmax} edges would reach "
+            f"MAXINT={maxint}; increase word_bits (need > "
+            f"{int(np.ceil(np.log2((n - 1) * wmax + 2)))}) or rescale "
+            "weights"
+        )
 
 
 def max_finite_weight(W: np.ndarray, maxint: int) -> int:

@@ -3,21 +3,24 @@
 The paper's one trick is amortising a relaxation round across an entire
 processor array; PR 2 extended the same amortisation across *query
 lanes* (batched APSP). This module applies it to the serving tier's
-request stream: concurrent column queries against the same graph
-version are collected for a short window (``coalesce_window_ms``, or
-until ``max_lanes`` distinct destinations are waiting) and dispatched
-as **one** ``batched_minimum_cost_path`` run, each lane's column fanned
-back to its waiting requests. Because batched lanes are bit-identical
-to serial runs (pinned since PR 2), coalescing changes *only* the
-throughput — every answer, digest and cache entry is byte-for-byte what
-the serial path would have produced.
+request stream: column queries against the same graph version that
+become runnable in the same event-loop turn — the lines of one socket
+read, a ``gather`` burst — join one pending batch, which closes at the
+end of that turn (or at once, when ``max_lanes`` distinct destinations
+are waiting) and is dispatched as **one** ``batched_minimum_cost_path``
+run, each lane's column fanned back to its waiting requests. A lone
+request is dispatched on the next turn: no timer adds latency to it.
+Because batched lanes are bit-identical to serial runs (pinned since
+PR 2), coalescing changes *only* the throughput — every answer, digest
+and cache entry is byte-for-byte what the serial path would have
+produced.
 
 Single-flight deduplication rides on the same bookkeeping: all waiters
 for one ``(graph, version, dest)`` share one per-destination future, so
 identical in-flight requests — the pathological hot-key shape that
 races past an LRU — cost one lane total, whether they arrived in the
-same collection window or while the batch was already computing. Every
-waiter receives the *same* payload object: bit-identical fan-out is
+same turn or while the batch was already computing. Every waiter
+receives the *same* payload object: bit-identical fan-out is
 structural, not a property to test for.
 
 The coalescer owns collection, dedup and statistics only; admission,
@@ -59,8 +62,9 @@ class CoalesceStats:
     single_flight_hits: int = 0
     #: batches flushed because they reached ``max_lanes``.
     flushed_full: int = 0
-    #: batches flushed by the collection-window timer.
-    flushed_window: int = 0
+    #: batches closed at the end of the event-loop turn that opened
+    #: them (or by ``drain``).
+    flushed_turn: int = 0
     #: dispatch tasks that died with an unexpected exception (their
     #: waiters are resolved with an error outcome, never stranded).
     dispatch_errors: int = 0
@@ -72,7 +76,7 @@ class CoalesceStats:
         if reason == "full":
             self.flushed_full += 1
         else:
-            self.flushed_window += 1
+            self.flushed_turn += 1
         key = str(lanes)
         self.lane_fill[key] = self.lane_fill.get(key, 0) + 1
 
@@ -83,7 +87,7 @@ class CoalesceStats:
             "coalesced_requests": self.coalesced_requests,
             "single_flight_hits": self.single_flight_hits,
             "flushed_full": self.flushed_full,
-            "flushed_window": self.flushed_window,
+            "flushed_turn": self.flushed_turn,
             "dispatch_errors": self.dispatch_errors,
             "lane_fill": dict(sorted(self.lane_fill.items(),
                                      key=lambda kv: int(kv[0]))),
@@ -93,14 +97,13 @@ class CoalesceStats:
 class _PendingBatch:
     """One graph-version batch still collecting destinations."""
 
-    __slots__ = ("graph", "waiters", "deadline_at", "timer", "sizes")
+    __slots__ = ("graph", "waiters", "deadline_at", "sizes")
 
     def __init__(self, graph: Any):
         self.graph = graph
         #: dest -> shared per-destination future
         self.waiters: dict[int, asyncio.Future] = {}
         self.deadline_at = 0.0
-        self.timer: asyncio.Task | None = None
         #: dest -> number of requests sharing that future (for stats)
         self.sizes: dict[int, int] = {}
 
@@ -113,15 +116,11 @@ class ColumnCoalescer:
         dispatch: Callable[[Any, dict[int, asyncio.Future], float],
                            Awaitable[None]],
         *,
-        window_ms: float = 2.0,
         max_lanes: int = 32,
     ):
-        if window_ms < 0:
-            raise ValueError(f"window_ms must be >= 0, got {window_ms}")
         if max_lanes < 1:
             raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
         self._dispatch = dispatch
-        self.window_ms = float(window_ms)
         self.max_lanes = int(max_lanes)
         self.stats = CoalesceStats()
         self._pending: dict[tuple, _PendingBatch] = {}
@@ -136,17 +135,18 @@ class ColumnCoalescer:
              ) -> tuple[asyncio.Future, bool]:
         """``(future, single_flight)`` answering ``dest`` on graph *g*.
 
-        Joins the pending batch for ``(g.name, g.version)`` (creating
-        one, and its window timer, if absent), or an identical
-        already-in-flight computation — in which case ``single_flight``
-        is True and the future is the one the earlier request waits on.
+        Joins the pending batch for ``(g.name, g.version)`` — opening
+        one, to close at the end of this event-loop turn, if absent — or
+        an identical unresolved computation, in which case
+        ``single_flight`` is True and the future is the one the earlier
+        request waits on.
         """
         if self._closed:
             raise RuntimeError("coalescer is closed")
         self.stats.requests += 1
         flight_key = (g.name, g.version, dest)
         existing = self._inflight.get(flight_key)
-        if existing is not None:
+        if existing is not None and not existing.done():
             self.stats.single_flight_hits += 1
             batch = self._pending.get((g.name, g.version))
             if batch is not None and dest in batch.waiters:
@@ -155,45 +155,44 @@ class ColumnCoalescer:
                 batch.sizes[dest] = batch.sizes.get(dest, 1) + 1
             return existing, True
 
+        loop = asyncio.get_running_loop()
         key = (g.name, g.version)
         batch = self._pending.get(key)
         if batch is None:
             batch = _PendingBatch(g)
             self._pending[key] = batch
-            if self.window_ms > 0:
-                batch.timer = asyncio.ensure_future(
-                    self._window_flush(key)
-                )
+            loop.call_soon(self._close_turn, key, batch)
 
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future: asyncio.Future = loop.create_future()
         batch.waiters[dest] = future
         batch.sizes[dest] = 1
         batch.deadline_at = max(batch.deadline_at, deadline_at)
         self._inflight[flight_key] = future
         future.add_done_callback(
-            lambda _f, k=flight_key: self._inflight.pop(k, None)
+            functools.partial(self._forget_flight, flight_key)
         )
 
-        if len(batch.waiters) >= self.max_lanes or self.window_ms == 0:
+        if len(batch.waiters) >= self.max_lanes:
             self._flush(key, "full")
         return future, False
 
+    def _forget_flight(self, key: tuple, future: asyncio.Future) -> None:
+        # a fresh flight may already hold the key (see join)
+        if self._inflight.get(key) is future:
+            del self._inflight[key]
+
     # -- flushing --------------------------------------------------------
 
-    async def _window_flush(self, key: tuple) -> None:
-        try:
-            await asyncio.sleep(self.window_ms / 1e3)
-        except asyncio.CancelledError:
-            return
-        self._flush(key, "window", from_timer=True)
+    def _close_turn(self, key: tuple, batch: _PendingBatch) -> None:
+        """End-of-turn close of *batch*, unless it already left as full
+        (a later batch under the same key has its own close)."""
+        if self._pending.get(key) is batch:
+            self._flush(key, "turn")
 
-    def _flush(self, key: tuple, reason: str, *,
-               from_timer: bool = False) -> None:
+    def _flush(self, key: tuple, reason: str) -> None:
         batch = self._pending.pop(key, None)
         if batch is None:
             return
-        if batch.timer is not None and not from_timer:
-            batch.timer.cancel()
         lanes = len(batch.waiters)
         self.stats.record_flush(lanes, reason)
         riders = sum(batch.sizes.values())
@@ -235,7 +234,7 @@ class ColumnCoalescer:
         """Flush everything pending and await all in-flight batches."""
         self._closed = True
         for key in list(self._pending):
-            self._flush(key, "window")
+            self._flush(key, "turn")
         while self._tasks:
             await asyncio.gather(*list(self._tasks),
                                  return_exceptions=True)
@@ -246,6 +245,5 @@ class ColumnCoalescer:
             **self.stats.to_dict(),
             "pending_batches": len(self._pending),
             "inflight_columns": len(self._inflight),
-            "window_ms": self.window_ms,
             "max_lanes": self.max_lanes,
         }

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.graph import check_word_headroom
 from repro.errors import GraphError
 
 __all__ = [
@@ -65,7 +66,11 @@ def decode_edges(edges, n: int, maxint: int) -> list[tuple[int, int, int]]:
 
     ``w`` arrives as a non-negative int (new weight) or ``None`` (remove
     the edge -> ``maxint`` sentinel). Self-edges are rejected: the
-    algorithm's zero diagonal is structural, not data.
+    algorithm's zero diagonal is structural, not data. New weights are
+    held to ``put_graph``'s headroom rule
+    (:func:`~repro.core.graph.check_word_headroom`); the stored graph
+    already meets it, so checking the delta's own finite weights is
+    enough.
     """
     if not isinstance(edges, (list, tuple)) or not edges:
         raise GraphError("edges must be a non-empty list of [u, v, w]")
@@ -100,6 +105,8 @@ def decode_edges(edges, n: int, maxint: int) -> list[tuple[int, int, int]]:
                     f"edge ({u}, {v}) weight {w} outside [0, {maxint}]"
                 )
         out.append((u, v, w))
+    check_word_headroom(n, max((w for _, _, w in out if w < maxint),
+                               default=0), maxint)
     return out
 
 

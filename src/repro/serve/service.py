@@ -7,8 +7,8 @@ batch of destination lanes — a coalesced column batch, an uncoalesced
 column as a one-lane batch dispatched at once, an APSP plane as a batch
 of every destination — and every batch takes the same path::
 
-    point / dest --coalesce on---> ColumnCoalescer (window, single-flight)
-         |                               | one batch per window
+    point / dest --coalesce on---> ColumnCoalescer (turn, single-flight)
+         |                               | one batch per loop turn
          +--------coalesce off----+      |
     apsp -------------------------+------+
                                   v
@@ -116,15 +116,15 @@ class ServiceConfig:
     #: LRU capacities (entries, not bytes).
     column_cache: int = 2048
     apsp_cache: int = 8
-    #: coalesce concurrent column requests into lane-batched engine runs
-    #: (:mod:`repro.serve.coalesce`). Off sends each request through the
-    #: same admission step and attempt loop as a one-lane batch,
-    #: dispatched at once: no window, no single-flight (the benchmark's
-    #: control arm).
+    #: coalesce column requests into lane-batched engine runs
+    #: (:mod:`repro.serve.coalesce`): requests on one graph version that
+    #: become runnable in the same event-loop turn share one run, closed
+    #: at the end of that turn, and identical requests share one flight.
+    #: Off sends each request through the same admission step and
+    #: attempt loop as a one-lane batch: no shared runs, no single-flight
+    #: (the benchmark's control arm).
     coalesce: bool = True
-    #: how long a coalescing batch collects before dispatching (ms).
-    coalesce_window_ms: float = 2.0
-    #: distinct destinations per batch; a full batch dispatches early.
+    #: distinct destinations per batch; a full batch dispatches at once.
     #: The degradation rung may chunk a batch into narrower engine runs
     #: (:meth:`repro.serve.degrade.Rung.coalesce_width`).
     max_lanes: int = 32
@@ -154,11 +154,6 @@ class ServiceConfig:
         if self.resilient_spares < 0:
             raise ConfigurationError(
                 f"resilient_spares must be >= 0, got {self.resilient_spares}"
-            )
-        if self.coalesce_window_ms < 0:
-            raise ConfigurationError(
-                "coalesce_window_ms must be >= 0, got "
-                f"{self.coalesce_window_ms}"
             )
         if self.max_lanes < 1:
             raise ConfigurationError(
@@ -240,6 +235,10 @@ class PathQueryService:
             recovery_successes=self.config.recovery_successes,
         )
         self.graphs: dict[str, _Graph] = {}
+        #: the last version issued per graph name; it survives
+        #: ``del_graph``, so a re-registered name never reuses a
+        #: (name, version) key that cached or in-flight answers carry
+        self._versions: dict[str, int] = {}
         self._columns: OrderedDict = OrderedDict()
         self._apsp: OrderedDict = OrderedDict()
         #: certified warm-start seeds for dirtied columns,
@@ -251,9 +250,7 @@ class PathQueryService:
         self._coalescer: ColumnCoalescer | None = None
         if self.config.coalesce:
             self._coalescer = ColumnCoalescer(
-                self._dispatch_columns,
-                window_ms=self.config.coalesce_window_ms,
-                max_lanes=self.config.max_lanes,
+                self._dispatch_columns, max_lanes=self.config.max_lanes,
             )
         self.counters: dict[str, int] = {
             "ok": 0, "shed": 0, "deadline": 0, "error": 0,
@@ -480,8 +477,7 @@ class PathQueryService:
         probe = PPAMachine(PPAConfig(n=int(raw.shape[0]),
                                      word_bits=req.word_bits))
         W = normalize_weights(raw, probe, zero_diagonal="set")
-        version = (self.graphs[req.graph].version + 1
-                   if req.graph in self.graphs else 1)
+        version = self._versions.get(req.graph, 0) + 1
         digest = hashlib.blake2b(
             W.tobytes() + bytes([req.word_bits]), digest_size=16
         ).hexdigest()
@@ -489,8 +485,9 @@ class PathQueryService:
                    word_bits=req.word_bits, maxint=probe.maxint,
                    version=version, digest=digest)
         self.graphs[req.graph] = g
+        self._versions[req.graph] = version
         self.ladder.forget(req.graph)  # new content, fresh health record
-        self._purge_salvage(req.graph)
+        self._purge(req.graph)
         return Response(id=req.id, status="ok", op="put_graph", result={
             "graph": g.name, "n": g.n, "version": g.version,
             "digest": g.digest, "maxint": g.maxint,
@@ -524,6 +521,7 @@ class PathQueryService:
         new = _Graph(name=g.name, W=W_new, n=g.n, word_bits=g.word_bits,
                      maxint=g.maxint, version=g.version + 1, digest=digest)
         self.graphs[g.name] = new
+        self._versions[g.name] = new.version
         # unlike a full replace, graph health history stays: the content
         # is mostly the same machine-shaped problem
 
@@ -583,7 +581,7 @@ class PathQueryService:
                     }
         while len(self._columns) > self.config.column_cache:
             self._columns.popitem(last=False)
-        self._purge_salvage(g.name, keep_version=new.version)
+        self._purge(g.name, keep_version=new.version)
 
         return Response(id=req.id, status="ok", op="put_graph", result={
             "graph": new.name, "n": new.n, "version": new.version,
@@ -596,23 +594,21 @@ class PathQueryService:
             },
         })
 
-    def _purge_salvage(self, name: str, keep_version: int | None = None
-                       ) -> None:
-        """Drop warm seeds / salvage planes for *name* except, optionally,
-        the current version's."""
-        for key in [k for k in self._warm
-                    if k[0] == name and k[1] != keep_version]:
-            del self._warm[key]
-        for key in [k for k in self._apsp_salvage
-                    if k[0] == name and k[1] != keep_version]:
-            del self._apsp_salvage[key]
+    def _purge(self, name: str, keep_version: int | None = None) -> None:
+        """Drop cached columns, APSP planes, warm seeds and salvage
+        planes for *name* except, optionally, one version's."""
+        for store in (self._columns, self._apsp, self._warm,
+                      self._apsp_salvage):
+            for key in [k for k in store
+                        if k[0] == name and k[1] != keep_version]:
+                del store[key]
 
     def _del_graph(self, req: Request) -> Response:
         if not req.graph:
             raise ReproError("del_graph needs a graph name")
         existed = self.graphs.pop(req.graph, None) is not None
         self.ladder.forget(req.graph)
-        self._purge_salvage(req.graph)
+        self._purge(req.graph)
         return Response(id=req.id, status="ok", op="del_graph",
                         result={"graph": req.graph, "deleted": existed})
 
@@ -670,7 +666,7 @@ class PathQueryService:
             return await self._query_coalesced(req, g, deadline_at, t0,
                                                span)
         else:
-            # a one-lane batch dispatched at once: no window, no
+            # a one-lane batch dispatched at once: no shared run, no
             # single-flight
             dest = int(req.dest)
             outcome = await self._execute(
@@ -690,37 +686,46 @@ class PathQueryService:
         """Column path through the micro-batching coalescer.
 
         The request parks on the shared per-destination future; the
-        coalescer dispatches one lane-batched engine run per collection
-        window (``_dispatch_columns``) and the outcome fans back here.
+        coalescer dispatches one lane-batched engine run per batch of
+        requests that joined in the same event-loop turn
+        (``_dispatch_columns``) and the outcome fans back here.
         Per-request deadlines stay per-request: an expired waiter gets
         its ``deadline`` response while the batch keeps computing for
-        the others (and still warms the cache).
+        the others (and still warms the cache). A single-flight joiner
+        whose flight ran out of *its* deadline first joins a fresh
+        flight with the time it has left.
         """
-        future, joined = self._coalescer.join(g, int(req.dest),
-                                              deadline_at)
-        wait = Span("serve.coalesce", {
-            "graph": g.name, "version": g.version, "dest": int(req.dest),
-            "single_flight": joined,
-        })
-        wait.start = self.config.clock() - self._epoch
-        span.children.append(wait)
-        try:
-            remaining = deadline_at - self.config.clock()
-            if remaining <= 0:
-                raise asyncio.TimeoutError
-            outcome = await asyncio.wait_for(asyncio.shield(future),
-                                             timeout=remaining)
-        except asyncio.TimeoutError:
+        dest = int(req.dest)
+        while True:
+            future, joined = self._coalescer.join(g, dest, deadline_at)
+            wait = Span("serve.coalesce", {
+                "graph": g.name, "version": g.version, "dest": dest,
+                "single_flight": joined,
+            })
+            wait.start = self.config.clock() - self._epoch
+            span.children.append(wait)
+            try:
+                remaining = deadline_at - self.config.clock()
+                if remaining <= 0:
+                    raise asyncio.TimeoutError
+                outcome = await asyncio.wait_for(asyncio.shield(future),
+                                                 timeout=remaining)
+            except asyncio.TimeoutError:
+                wait.end = self.config.clock() - self._epoch
+                wait.attrs["outcome"] = "deadline"
+                return Response(
+                    id=req.id, status="deadline", op=req.op,
+                    error="deadline expired awaiting coalesced batch",
+                    timing={"queued_ms": round(
+                        (self.config.clock() - t0) * 1e3, 3)},
+                )
             wait.end = self.config.clock() - self._epoch
-            wait.attrs["outcome"] = "deadline"
-            return Response(
-                id=req.id, status="deadline", op=req.op,
-                error="deadline expired awaiting coalesced batch",
-                timing={"queued_ms": round(
-                    (self.config.clock() - t0) * 1e3, 3)},
-            )
-        wait.end = self.config.clock() - self._epoch
-        wait.attrs["outcome"] = outcome["status"]
+            wait.attrs["outcome"] = outcome["status"]
+            # a flight joined in progress may have had an earlier
+            # deadline than this request
+            if not (joined and outcome["status"] == "deadline"
+                    and self.config.clock() < deadline_at):
+                break
         if outcome["status"] == "ok":
             timing = {"queued_ms": outcome["queued_ms"],
                       "attempts": outcome["attempts"],

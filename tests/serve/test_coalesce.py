@@ -10,12 +10,14 @@ real batches.
 import asyncio
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.resilience import BackoffPolicy
 from repro.serve.chaos import ChaosScenario, run_scenario
+from repro.serve.coalesce import ColumnCoalescer
 from repro.serve.loadgen import random_graph
 from repro.serve.service import PathQueryService, ServiceConfig
 
@@ -26,7 +28,6 @@ def fast_config(**overrides) -> ServiceConfig:
         backoff=BackoffPolicy(base=0.001, cap=0.01, max_attempts=2),
         breaker_cooldown_s=0.2,
         recovery_successes=2,
-        coalesce_window_ms=5.0,
     )
     base.update(overrides)
     return ServiceConfig(**base)
@@ -96,13 +97,11 @@ class TestCoalescedAnswers:
 
     def test_full_batch_dispatches_early(self):
         async def main():
-            service = PathQueryService(
-                fast_config(max_lanes=2, coalesce_window_ms=10_000.0)
-            )
+            service = PathQueryService(fast_config(max_lanes=2))
             try:
                 await put(service)
-                # window is absurdly long: only the max_lanes flush can
-                # let these complete promptly
+                # all four join in one turn: only the max_lanes flush
+                # splits them, each half as soon as it fills
                 out = await asyncio.wait_for(asyncio.gather(*(
                     service.handle_request({"id": i, "op": "dest",
                                             "graph": "g", "dest": i})
@@ -111,6 +110,7 @@ class TestCoalescedAnswers:
                 assert all(r.status == "ok" for r in out)
                 snap = service.stats()["coalescer"]
                 assert snap["flushed_full"] == 2
+                assert snap["flushed_turn"] == 0
                 assert snap["lane_fill"] == {"2": 2}
             finally:
                 await service.stop()
@@ -192,4 +192,116 @@ class TestCacheHitSpan:
                 assert hits[0].end >= hits[0].start
             finally:
                 await service.stop()
+        asyncio.run(main())
+
+
+def _recording_dispatch():
+    """A dispatch callback that records each batch's destinations and
+    answers every lane at once."""
+    batches: list[list[int]] = []
+
+    async def dispatch(graph, waiters, deadline_at):
+        batches.append(sorted(waiters))
+        for d, fut in waiters.items():
+            fut.set_result({"status": "ok", "payload": d})
+
+    return batches, dispatch
+
+
+class TestCloseRule:
+    """A pending batch closes at the end of the event-loop turn that
+    opened it, or at once when it reaches ``max_lanes``."""
+
+    G = SimpleNamespace(name="g", version=1)
+
+    def test_joins_in_one_turn_share_one_batch(self):
+        async def main():
+            batches, dispatch = _recording_dispatch()
+            co = ColumnCoalescer(dispatch)
+            futures = [co.join(self.G, d, 0.0)[0] for d in range(5)]
+            await asyncio.gather(*futures)
+            assert batches == [[0, 1, 2, 3, 4]]
+            assert co.stats.flushed_turn == 1
+            assert co.stats.flushed_full == 0
+            await co.drain()
+        asyncio.run(main())
+
+    def test_join_after_a_yield_opens_a_new_batch(self):
+        async def main():
+            batches, dispatch = _recording_dispatch()
+            co = ColumnCoalescer(dispatch)
+            first, _ = co.join(self.G, 0, 0.0)
+            await asyncio.sleep(0)
+            second, _ = co.join(self.G, 1, 0.0)
+            await asyncio.gather(first, second)
+            assert batches == [[0], [1]]
+            assert co.stats.flushed_turn == 2
+            await co.drain()
+        asyncio.run(main())
+
+    def test_lone_join_dispatches_without_a_timer_task(self):
+        async def main():
+            batches, dispatch = _recording_dispatch()
+            co = ColumnCoalescer(dispatch)
+            before = asyncio.all_tasks()
+            future, _ = co.join(self.G, 3, 0.0)
+            assert asyncio.all_tasks() == before
+            assert co.snapshot()["pending_batches"] == 1
+            await asyncio.sleep(0)
+            # the turn that opened the batch has ended: it is dispatched
+            assert co.snapshot()["pending_batches"] == 0
+            assert len(co._tasks) == 1
+            assert (await future)["payload"] == 3
+            assert batches == [[3]]
+            await co.drain()
+        asyncio.run(main())
+
+    def test_full_flush_mid_turn_leaves_the_rest_for_the_turn_end(self):
+        async def main():
+            batches, dispatch = _recording_dispatch()
+            co = ColumnCoalescer(dispatch, max_lanes=2)
+            futures = [co.join(self.G, d, 0.0)[0] for d in range(5)]
+            # two batches filled and left at once; the fifth lane waits
+            assert co.stats.flushed_full == 2
+            assert co.snapshot()["pending_batches"] == 1
+            await asyncio.gather(*futures)
+            assert batches == [[0, 1], [2, 3], [4]]
+            assert co.stats.flushed_turn == 1
+            assert co.stats.lane_fill == {"2": 2, "1": 1}
+            await co.drain()
+        asyncio.run(main())
+
+    def test_drain_flushes_a_batch_opened_this_turn(self):
+        async def main():
+            batches, dispatch = _recording_dispatch()
+            co = ColumnCoalescer(dispatch)
+            future, _ = co.join(self.G, 2, 0.0)
+            await co.drain()
+            assert future.done()
+            assert batches == [[2]]
+            assert co.stats.flushed_turn == 1
+            await asyncio.sleep(0)  # the turn-end close finds nothing
+            assert co.stats.batches == 1
+        asyncio.run(main())
+
+
+class TestSingleFlight:
+    def test_a_resolved_flight_is_not_joined(self):
+        """A join that meets a flight already resolved, before its
+        bookkeeping is cleared, opens a fresh flight; the old flight's
+        cleanup then leaves the fresh one in place."""
+        async def main():
+            batches, dispatch = _recording_dispatch()
+            co = ColumnCoalescer(dispatch)
+            g = SimpleNamespace(name="g", version=1)
+            old, _ = co.join(g, 3, 0.0)
+            old.set_result({"status": "deadline"})
+            fresh, single = co.join(g, 3, 0.0)
+            assert fresh is not old and not single
+            await asyncio.sleep(0)  # the old flight's cleanup runs
+            again, single = co.join(g, 3, 0.0)
+            assert again is fresh and single
+            assert (await fresh)["payload"] == 3
+            assert batches == [[3]]
+            await co.drain()
         asyncio.run(main())

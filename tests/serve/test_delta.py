@@ -370,6 +370,47 @@ class TestServiceDelta:
                 await service.stop()
         self.run(main())
 
+    def test_delta_without_word_headroom_rejected(self):
+        """A delta is held to put_graph's headroom rule: an (n-1)-edge
+        path of its heaviest finite weight must stay below MAXINT. A
+        refused delta leaves the version and the answers as they were."""
+        async def main():
+            service = PathQueryService(ServiceConfig(workers=1))
+            try:
+                wire = [[0, 1, None, None], [None, 0, 1, None],
+                        [None, None, 0, 1], [None, None, None, 0]]
+                put = await service.handle_request({
+                    "id": 0, "op": "put_graph", "graph": "g",
+                    "weights": wire, "word_bits": 16,
+                })
+                assert put.result["version"] == 1
+                r = await service.handle_request({
+                    "id": 1, "op": "put_graph", "graph": "g",
+                    "edges": [[0, 1, 40000], [1, 2, 40000]],
+                })
+                assert r.status == "error"
+                assert "would reach MAXINT" in r.error
+                stats = service.stats()
+                assert stats["graphs"]["g"]["version"] == 1
+                q = await service.handle_request({
+                    "id": 2, "op": "point", "graph": "g",
+                    "source": 0, "dest": 3,
+                })
+                assert q.status == "ok", q.error
+                assert q.result["version"] == 1
+                assert q.result["cost"] == 3
+                assert not service.stats()["ladder"]["levels"]
+                # removals and weights that keep the headroom still apply
+                ok = await service.handle_request({
+                    "id": 3, "op": "put_graph", "graph": "g",
+                    "edges": [[0, 1, None], [0, 2, 21844]],
+                })
+                assert ok.status == "ok", ok.error
+                assert ok.result["version"] == 2
+            finally:
+                await service.stop()
+        self.run(main())
+
     def test_weights_and_edges_together_rejected(self):
         async def main():
             service = PathQueryService(ServiceConfig(workers=1))

@@ -72,7 +72,7 @@ class TestCoalescerDispatchFailure:
             async def dispatch(graph, waiters, deadline_at):
                 raise RuntimeError("engine fell over")
 
-            co = ColumnCoalescer(dispatch, window_ms=0)
+            co = ColumnCoalescer(dispatch)
             g = SimpleNamespace(name="g", version=1)
             future, single = co.join(g, dest=0, deadline_at=0.0)
             assert not single
@@ -93,7 +93,7 @@ class TestCoalescerDispatchFailure:
                 started.set()
                 await asyncio.sleep(60)
 
-            co = ColumnCoalescer(dispatch, window_ms=0)
+            co = ColumnCoalescer(dispatch)
             g = SimpleNamespace(name="g", version=1)
             future, _ = co.join(g, dest=0, deadline_at=0.0)
             await started.wait()
@@ -111,7 +111,7 @@ class TestCoalescerDispatchFailure:
                 for fut in waiters.values():
                     fut.set_result({"status": "ok", "payload": {}})
 
-            co = ColumnCoalescer(dispatch, window_ms=0)
+            co = ColumnCoalescer(dispatch)
             g = SimpleNamespace(name="g", version=1)
             future, _ = co.join(g, dest=0, deadline_at=0.0)
             outcome = await asyncio.wait_for(future, timeout=5)

@@ -220,6 +220,77 @@ class TestValidation:
         run(main())
 
 
+#: WIRE with the 3 -> 0 edge gone and 0 -> 3 cheaper: column 3 changes.
+REWIRE = [row[:] for row in WIRE]
+REWIRE[3][0] = None
+REWIRE[0][3] = 1
+REWIRE_DEST3 = bellman_reference(
+    np.asarray([[MAXINT if v is None else v for v in row]
+                for row in REWIRE]), 3, MAXINT).tolist()
+
+
+class TestDeleteThenReput:
+    """A name deleted and registered again never serves the old graph's
+    answers: versions keep counting up across the delete, and the
+    deleted graph's cached answers are dropped with it."""
+
+    def test_reput_after_delete_serves_the_new_weights(self):
+        async def main():
+            service = PathQueryService(fast_config())
+            try:
+                await put(service)
+                first = await service.handle_request({
+                    "id": 1, "op": "dest", "graph": "g", "dest": 3})
+                assert first.status == "ok"
+                await service.handle_request({
+                    "id": 2, "op": "del_graph", "graph": "g"})
+                assert service.stats()["caches"]["columns"] == 0
+                reput = await put(service, wire=REWIRE)
+                assert reput.result["version"] == 2
+                resp = await service.handle_request({
+                    "id": 3, "op": "dest", "graph": "g", "dest": 3})
+                assert resp.status == "ok"
+                assert not resp.timing.get("cached")
+                assert resp.result["version"] == 2
+                assert resp.result["sow"] == REWIRE_DEST3
+                assert resp.result["sow"] != first.result["sow"]
+            finally:
+                await service.stop()
+
+        run(main())
+
+    @pytest.mark.parametrize("coalesce", [True, False],
+                             ids=["coalesced", "uncoalesced"])
+    def test_reput_while_the_deleted_version_computes(self, coalesce):
+        async def main():
+            service = PathQueryService(fast_config(coalesce=coalesce),
+                                       machine_factory=_GateFactory(0.3))
+            try:
+                await put(service)
+                old = asyncio.ensure_future(service.handle_request({
+                    "id": 1, "op": "dest", "graph": "g", "dest": 3}))
+                await asyncio.sleep(0.05)  # the old batch is computing
+                await service.handle_request({
+                    "id": 2, "op": "del_graph", "graph": "g"})
+                await put(service, wire=REWIRE)
+                resp = await service.handle_request({
+                    "id": 3, "op": "dest", "graph": "g", "dest": 3})
+                assert (await old).result["version"] == 1
+                assert resp.status == "ok"
+                assert resp.result["version"] == 2
+                assert not resp.timing.get("single_flight")
+                assert resp.result["sow"] == REWIRE_DEST3
+                # the old batch finished after the re-put: its column
+                # must not answer for the new graph
+                again = await service.handle_request({
+                    "id": 4, "op": "dest", "graph": "g", "dest": 3})
+                assert again.result["sow"] == REWIRE_DEST3
+            finally:
+                await service.stop()
+
+        run(main())
+
+
 class _GateFactory:
     """Machine factory whose compute blocks until released (via a
     threading event checked inside a fake machine build)."""
@@ -232,6 +303,35 @@ class _GateFactory:
         self.calls += 1
         time.sleep(self.delay_s)
         return default_machine_factory(n, word_bits)
+
+
+class TestSingleFlightDeadline:
+    def test_joiner_outlives_the_flight_it_joined(self):
+        """A single-flight joiner with a later deadline than the flight
+        it joined is not failed with that flight's deadline: it joins a
+        fresh flight with its own remaining time."""
+        async def main():
+            service = PathQueryService(fast_config(),
+                                       machine_factory=_GateFactory(0.3))
+            try:
+                await put(service)
+                a = asyncio.ensure_future(service.handle_request({
+                    "id": "a", "op": "dest", "graph": "g", "dest": 3,
+                    "deadline_ms": 100}))
+                await asyncio.sleep(0.02)
+                b = await service.handle_request({
+                    "id": "b", "op": "dest", "graph": "g", "dest": 3,
+                    "deadline_ms": 5000})
+                assert (await a).status == "deadline"
+                assert b.status == "ok", b.error
+                assert b.result["sow"] == \
+                    bellman_reference(GRID, 3, MAXINT).tolist()
+                assert service.stats()["coalescer"]["single_flight_hits"] \
+                    == 1
+            finally:
+                await service.stop()
+
+        run(main())
 
 
 #: the ways a cache-missing query enters the service's one admission
