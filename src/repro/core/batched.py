@@ -140,13 +140,22 @@ class BatchedMCPResult:
 def _normalize_lane_weights(
     W, machine: PPAMachine, batch: int, zero_diagonal: str
 ) -> np.ndarray:
-    """Validate a shared ``(n, n)`` or per-lane ``(B, n, n)`` weight input."""
-    arr = np.asarray(W)
-    if arr.ndim == 2:
+    """Validate a shared ``(n, n)`` or per-lane ``(B, n, n)`` weight input.
+
+    A shared plane may also be a
+    :class:`~repro.engine.compiled.PreparedPlane`, whose read-only plane
+    is returned as it is.
+    """
+    # the engine package imports this module's importers
+    from repro.engine._loop import weight_plane
+    from repro.engine.compiled import PreparedPlane
+
+    arr = None if isinstance(W, PreparedPlane) else np.asarray(W)
+    if arr is None or arr.ndim == 2:
         # Shared across lanes: normalise once, keep 2-D so the bus kernels
         # take the shared-plane fast path and numpy broadcasting does the
         # lane replication for free.
-        return normalize_weights(W, machine, zero_diagonal=zero_diagonal)
+        return weight_plane(W, machine, zero_diagonal)
     if arr.ndim == 3:
         if arr.shape[0] != batch:
             raise GraphError(

@@ -8,9 +8,14 @@ the per-configuration cost vector (:mod:`repro.engine.costs`). The only
 difference between the tiers is the relaxation kernel, so the loop lives
 here once, parameterised by a ``relax(sow, W, maxint)`` callable that it
 calls once per round with the normalised plane, and the per-tier modules
-stay thin. A kernel may keep per-plane state for the duration of one
-call (the compiled tier's edge list); the loop never caches anything
-across calls. Anything pinned about the engines' semantics
+stay thin. The weights are a raw array, normalised per call, or a
+:class:`~repro.engine.compiled.PreparedPlane`, whose read-only plane is
+used as it is. A kernel may keep per-plane state for the duration of one
+call (the compiled tier's edge list, unless the prepared plane brought
+it); the loop never caches anything across calls. Counters are replayed
+once per call, after the last round: ``init`` up front, then ``rounds x
+iteration`` on the scalar book and ``iterations[b] x iteration`` on lane
+``b`` (:mod:`repro.engine.costs`). Anything pinned about the engines' semantics
 (smallest-index tie-break, convergence masking, lane ledgers, the
 ``MIN_SOW[d, d] = 0`` invariant) is pinned about this loop — the
 differential suite in ``tests/engine/`` exercises it through both tiers
@@ -31,7 +36,28 @@ __all__ = [
     "reconstruct_cold_mcp",
     "run_analytic_mcp",
     "run_analytic_batched_mcp",
+    "weight_plane",
 ]
+
+
+def weight_plane(W, machine: PPAMachine, zero_diagonal: str) -> np.ndarray:
+    """The normalised ``(n, n)`` plane of *W* for *machine*.
+
+    A :class:`~repro.engine.compiled.PreparedPlane` hands over its own
+    read-only plane (after a geometry check); anything else is
+    normalised afresh.
+    """
+    # the compiled tier imports this module
+    from repro.engine.compiled import PreparedPlane
+
+    if isinstance(W, PreparedPlane):
+        return W.for_machine(machine)
+    return normalize_weights(W, machine, zero_diagonal=zero_diagonal)
+
+
+def _times(delta: dict, rounds):
+    """*delta* charged *rounds* times (a scalar or a per-lane vector)."""
+    return {name: rounds * value for name, value in delta.items()}
 
 
 def reconstruct_cold_mcp(Wm, sow, d: int, maxint: int):
@@ -127,7 +153,7 @@ def run_analytic_mcp(
     which is the entire point of warm-starting. Callers that pin counter
     equality must pass ``warm_sow=None``.
     """
-    Wm = normalize_weights(W, machine, zero_diagonal=zero_diagonal)
+    Wm = weight_plane(W, machine, zero_diagonal)
     n = machine.n
     if not (0 <= d < n):
         raise GraphError(f"destination {d} outside [0, {n})")
@@ -153,28 +179,34 @@ def run_analytic_mcp(
 
     iterations = 0
     converged = False
-    while not converged:
-        iterations += 1
-        machine.apply_counter_delta(cost.iteration)
+    try:
+        while not converged:
+            iterations += 1
 
-        new_sow, arg = relax(sow, Wm, maxint)
-        # Node (d, d) never stores into MIN_SOW (statement 11 is masked off
-        # row d), so the diagonal writeback always delivers 0 to SOW[d, d].
-        new_sow[d] = 0
-        changed = new_sow != sow
-        # PTN writeback reads the diagonal: PTN[j, j] = arg[j] for j != d,
-        # and PTN[d, d] stays d forever (row d never runs statement 12).
-        arg[d] = d
-        ptn = np.where(changed, arg, ptn)
-        sow = new_sow
-        converged = not changed.any()
+            new_sow, arg = relax(sow, Wm, maxint)
+            # Node (d, d) never stores into MIN_SOW (statement 11 is masked
+            # off row d), so the diagonal writeback always delivers 0 to
+            # SOW[d, d].
+            new_sow[d] = 0
+            changed = new_sow != sow
+            # PTN writeback reads the diagonal: PTN[j, j] = arg[j] for
+            # j != d, and PTN[d, d] stays d forever (row d never runs
+            # statement 12).
+            arg[d] = d
+            ptn = np.where(changed, arg, ptn)
+            sow = new_sow
+            converged = not changed.any()
 
-        if not converged and iterations >= max_iterations:
-            raise GraphError(
-                f"MCP did not converge within {max_iterations} "
-                "iterations; the input violates the algorithm's "
-                "preconditions"
-            )
+            if not converged and iterations >= max_iterations:
+                raise GraphError(
+                    f"MCP did not converge within {max_iterations} "
+                    "iterations; the input violates the algorithm's "
+                    "preconditions"
+                )
+    finally:
+        # every round charges the same delta: replay them all at once,
+        # the rounds of a run that fails to converge included
+        machine.apply_counter_delta(_times(cost.iteration, iterations))
 
     if warm_sow is not None:
         # The warm trajectory's PTN/round-count are warm artifacts; swap
@@ -207,8 +239,8 @@ def run_analytic_batched_mcp(
     with ``engine="cycle"``: per-lane SOW/PTN/iterations, the batched-stream
     scalar counter delta *and* every lane's serial-equivalent ledger. Lane
     convergence masking happens on the host: a converged lane's state rows
-    freeze and its ledger stops accruing (``set_active_lanes``), exactly as
-    in the cycle loop.
+    freeze and its ledger stops accruing, exactly as in the cycle loop —
+    lane ``b`` is charged the ``iterations[b]`` rounds it was live for.
 
     *warm_sow*, when given, is a ``(B, n)`` plane of certified upper
     bounds (``maxint`` rows for lanes with no seed); see
@@ -247,35 +279,33 @@ def run_analytic_batched_mcp(
     maxint = machine.maxint
     lane_idx = np.arange(batch)
 
+    # Init: every lane charges the init delta (lane mask is all-True),
+    # and lane b's row-d state holds column dest[b] of its matrix.
     machine.set_active_lanes(None)
-    try:
-        # Init: every lane charges the init delta (lane mask is all-True),
-        # and lane b's row-d state holds column dest[b] of its matrix.
-        machine.apply_counter_delta(cost.init)
-        if Wm.ndim == 2:
-            sow = Wm[:, dest].T.copy()  # (B, n): sow[b, j] = W[j, dest[b]]
-        else:
-            sow = np.take_along_axis(
-                Wm, dest[:, None, None], axis=2
-            )[:, :, 0].copy()
-        if warm_sow is not None:
-            warm = np.asarray(warm_sow, dtype=sow.dtype)
-            if warm.shape != (batch, n):
-                raise GraphError(
-                    f"warm_sow must have shape ({batch}, {n}), got "
-                    f"{warm.shape}"
-                )
-            np.minimum(sow, np.minimum(warm, maxint), out=sow)
-        ptn = np.broadcast_to(dest[:, None], (batch, n)).copy()
+    machine.apply_counter_delta(cost.init)
+    if Wm.ndim == 2:
+        sow = Wm[:, dest].T.copy()  # (B, n): sow[b, j] = W[j, dest[b]]
+    else:
+        sow = np.take_along_axis(
+            Wm, dest[:, None, None], axis=2
+        )[:, :, 0].copy()
+    if warm_sow is not None:
+        warm = np.asarray(warm_sow, dtype=sow.dtype)
+        if warm.shape != (batch, n):
+            raise GraphError(
+                f"warm_sow must have shape ({batch}, {n}), got "
+                f"{warm.shape}"
+            )
+        np.minimum(sow, np.minimum(warm, maxint), out=sow)
+    ptn = np.broadcast_to(dest[:, None], (batch, n)).copy()
 
-        iterations = np.zeros(batch, dtype=np.int64)
-        active = np.ones(batch, dtype=bool)
-        rounds = 0
+    iterations = np.zeros(batch, dtype=np.int64)
+    active = np.ones(batch, dtype=bool)
+    rounds = 0
+    try:
         while active.any():
             rounds += 1
-            machine.set_active_lanes(active)
             iterations += active
-            machine.apply_counter_delta(cost.iteration)
 
             new_sow, arg = relax(sow, Wm, maxint)
             new_sow[lane_idx, dest] = 0
@@ -294,7 +324,10 @@ def run_analytic_batched_mcp(
                     "the algorithm's preconditions"
                 )
     finally:
-        machine.set_active_lanes(None)
+        # every round charges the same delta: the batched stream ran
+        # `rounds` of them, lane b was live for iterations[b]
+        machine.counters.merge(_times(cost.iteration, rounds))
+        machine.lane_counters.merge(_times(cost.iteration, iterations))
 
     if warm_sow is not None:
         # Per lane, swap the warm trajectory's PTN/round-count for the

@@ -35,9 +35,15 @@ and words too wide for the key.
   changes no minimum, and a row whose minimum reaches it reports
   ``(MAXINT, 0)``.
 
-The edge list lives only for the engine call that built it
-(:func:`relax_kernel`): service threads and forked shard workers never
-share one.
+A caller that solves one plane many times prepares it once: a
+:class:`PreparedPlane` holds the normalised plane and its edge list
+(``None`` when the dense tiles run), both read-only, and every engine
+entry point accepts it wherever it accepts a raw weight array, skipping
+normalisation and the list's build. The lifetime rule is one immutable
+list per plane: nothing writes into either after construction, so
+compute threads share them and forked shard workers inherit them. A raw
+array still gets a fresh normalisation and list per engine call
+(:func:`relax_kernel`).
 
 Counters are **replayed** from the same per-configuration analytic cost
 vectors as the fused engine (:mod:`repro.engine.costs`), through the same
@@ -58,14 +64,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.graph import normalize_weights
 from repro.core.result import MCPResult
 from repro.engine._loop import run_analytic_batched_mcp, run_analytic_mcp
 from repro.engine.select import resolve_engine
+from repro.errors import GraphError
 from repro.ppa.machine import PPAMachine
 
 __all__ = [
     "EDGE_LIST_MAX_DENSITY",
     "EdgeList",
+    "PreparedPlane",
     "edge_list",
     "edge_relax",
     "row_block",
@@ -211,6 +220,55 @@ def edge_list(W: np.ndarray, maxint: int) -> EdgeList | None:
     return EdgeList(shift, cols, keys, rows, starts[rows])
 
 
+class PreparedPlane:
+    """A weight plane normalised once, with the edge list the compiled
+    tier relaxes it over — both read-only.
+
+    Built from a raw ``(n, n)`` weight array for one machine geometry
+    (grid side and word width): the plane is
+    :func:`~repro.core.graph.normalize_weights`' output and ``edges`` is
+    :func:`edge_list` of it, ``None`` when the dense tiles run. Every
+    array of both has ``flags.writeable = False``, and the attributes
+    cannot be rebound, so the list always matches the plane. Engines
+    given one skip normalisation and the list's build; the relaxation
+    kernel still receives the plane itself, ``W``.
+    """
+
+    __slots__ = ("W", "edges", "maxint")
+
+    W: np.ndarray
+    edges: EdgeList | None
+    maxint: int
+
+    def __init__(self, W, machine: PPAMachine, *,
+                 zero_diagonal: str = "require"):
+        plane = normalize_weights(W, machine, zero_diagonal=zero_diagonal)
+        edges = edge_list(plane, machine.maxint)
+        for array in (plane,) if edges is None else (plane, *edges[1:]):
+            if array is not None:
+                array.flags.writeable = False
+        object.__setattr__(self, "W", plane)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "maxint", machine.maxint)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a PreparedPlane is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a PreparedPlane is immutable")
+
+    def for_machine(self, machine: PPAMachine) -> np.ndarray:
+        """The plane, once *machine* is known to have its grid side and
+        MAXINT (the geometry it was normalised for)."""
+        machine.require_square_fit(int(self.W.shape[0]))
+        if machine.maxint != self.maxint:
+            raise GraphError(
+                f"plane was prepared for MAXINT={self.maxint}, machine "
+                f"has MAXINT={machine.maxint}"
+            )
+        return self.W
+
+
 def edge_relax(sow: np.ndarray, edges: EdgeList, maxint: int):
     """One relaxation over *edges* — ``(n,)`` or ``(B, n)`` state — with
     the dense kernels' ``(new_sow, arg)``, bit for bit."""
@@ -253,15 +311,18 @@ def edge_relax(sow: np.ndarray, edges: EdgeList, maxint: int):
     return best, arg
 
 
-def relax_kernel():
-    """A fresh relaxation kernel for one engine call.
+def relax_kernel(W=None):
+    """A fresh relaxation kernel for one engine call on weights *W*.
 
     On the first round it sees a plane, it builds that plane's
     :func:`edge_list` (or settles on the dense tiles) and keeps the choice
-    for the rest of the call. Nothing outlives the kernel object.
+    for the rest of the call. When *W* is a :class:`PreparedPlane`, the
+    kernel starts with its plane and list and builds nothing.
     """
     plane: np.ndarray | None = None
     edges: EdgeList | None = None
+    if isinstance(W, PreparedPlane):
+        plane, edges = W.W, W.edges
 
     def relax(sow: np.ndarray, W: np.ndarray, maxint: int):
         nonlocal plane, edges
@@ -303,7 +364,7 @@ def compiled_minimum_cost_path(
         machine,
         W,
         d,
-        relax_kernel(),
+        relax_kernel(W),
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
         warm_sow=warm_sow,
@@ -331,7 +392,7 @@ def compiled_batched_minimum_cost_path(
         machine,
         W,
         destinations,
-        relax_kernel(),
+        relax_kernel(W),
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
         warm_sow=warm_sow,

@@ -116,8 +116,7 @@ def fused_batched_minimum_cost_path(
     with ``engine="cycle"``: per-lane SOW/PTN/iterations, the batched-stream
     scalar counter delta *and* every lane's serial-equivalent ledger. Lane
     convergence masking happens on the host: a converged lane's state rows
-    freeze and its ledger stops accruing (``set_active_lanes``), exactly as
-    in the cycle loop.
+    freeze and its ledger stops accruing, exactly as in the cycle loop.
     """
     resolve_engine(machine, "fused")  # raises EngineError when ineligible
     return run_analytic_batched_mcp(

@@ -8,16 +8,25 @@ the *unique* fixpoint of
 
 (the min taken over ``u != v`` — the zero diagonal would otherwise make
 any ``sow[v] = 0`` claim self-supporting), so a computed ``(sow, ptn)``
-pair can be *proved* correct in O(n^2) vectorised numpy — orders of
-magnitude cheaper than recomputing, and independent of which engine (or
-which possibly-faulted machine) produced it. The successor array is held
-to the same bar: every hop must be a real edge that closes the cost
-telescope, and following it must terminate at the destination — so even
-a zero-cost cycle of mutually-supporting wrong claims cannot verify. :class:`~repro.serve.service.PathQueryService` verifies every
-computed answer before caching or serving it; anything that fails is
-retried down the degradation ladder or reported as an ``error`` — never
-served. This check is what turns the chaos campaign's "0 silent-wrong"
-acceptance bar into a structural guarantee.
+pair can be *proved* correct far cheaper than recomputing it, and
+independently of which engine (or which possibly-faulted machine)
+produced it. The successor array is held to the same bar: every hop must
+be a real edge that closes the cost telescope, and following it must
+terminate at the destination — so even a zero-cost cycle of
+mutually-supporting wrong claims cannot verify.
+:class:`~repro.serve.service.PathQueryService` verifies every computed
+answer before caching or serving it; anything that fails is retried down
+the degradation ladder or reported as an ``error`` — never served. This
+check is what turns the chaos campaign's "0 silent-wrong" acceptance bar
+into a structural guarantee.
+
+The minimum runs over the oracle's own :class:`OracleCSR` — the plane's
+``m`` off-diagonal entries below MAXINT, derived here from the dense
+plane and never from an engine's edge list — and the termination walk
+by pointer doubling (``ceil(log2 n)`` squarings of the successor map,
+the destination absorbing), so one column costs O(m + n log n). The
+service builds the CSR once per graph version and passes it in; without
+one, each call builds it from ``W`` in O(n^2).
 
 The functions return a list of human-readable violation strings (empty =
 verified), so failures are diagnosable in logs and chaos reports.
@@ -25,14 +34,80 @@ verified), so failures are diagnosable in logs and chaos reports.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["verify_mcp", "verify_apsp", "bellman_reference"]
+__all__ = ["OracleCSR", "oracle_csr", "verify_mcp", "verify_apsp",
+           "bellman_reference"]
+
+#: Target byte size of one int64 block of destination columns in
+#: :func:`verify_apsp` — ``m x columns`` candidates, ``n x columns``
+#: successors; small problems cap it at half an ``n x n`` plane, so the
+#: check's memory stays a few ``n x n`` planes at any ``n``.
+_BLOCK_BYTES = 1 << 20
+
+
+class OracleCSR(NamedTuple):
+    """A plane's off-diagonal entries below MAXINT, row-major: the first
+    hops a fixpoint check minimises over."""
+
+    #: ``(m,)`` first hop ``u`` of each entry.
+    cols: np.ndarray
+    #: ``(m,)`` weight ``W[v, u]`` of each entry.
+    weights: np.ndarray
+    #: Rows ``v`` with at least one entry.
+    rows: np.ndarray
+    #: First entry of each row in ``rows``.
+    starts: np.ndarray
+
+
+def oracle_csr(W: np.ndarray, maxint: int) -> OracleCSR:
+    """The :class:`OracleCSR` of *W*, its arrays read-only."""
+    W = np.asarray(W, dtype=np.int64)
+    n = W.shape[0]
+    mask = W < maxint
+    np.fill_diagonal(mask, False)
+    flat = np.flatnonzero(mask)
+    row_of = flat // n
+    starts = np.flatnonzero(np.diff(row_of, prepend=-1))
+    csr = OracleCSR(flat - row_of * n, np.ravel(W)[flat], row_of[starts],
+                    starts)
+    for array in csr:
+        array.flags.writeable = False
+    return csr
+
+
+def _fixpoint(csr: OracleCSR, dist: np.ndarray, maxint: int) -> np.ndarray:
+    """``min over u != v of sat(W[v, u] + dist[u])`` for every row ``v``.
+
+    *dist* is one ``(n,)`` column or an ``(n, k)`` block of columns. A
+    candidate through an infinite leg (``dist[u] >= maxint``) is
+    ``maxint``, and so is the minimum of a row without entries.
+    """
+    out = np.full(dist.shape, maxint, dtype=np.int64)
+    if csr.cols.size:
+        cand = dist[csr.cols]
+        infinite = cand >= maxint
+        cand += csr.weights.reshape((-1,) + (1,) * (dist.ndim - 1))
+        np.minimum(cand, maxint, out=cand)
+        np.putmask(cand, infinite, maxint)
+        out[csr.rows] = np.minimum.reduceat(cand, csr.starts, axis=0)
+    return out
+
+
+def _walk_ends(nxt: np.ndarray) -> np.ndarray:
+    """Where a walker on each vertex stands after at least ``n`` steps of
+    the successor map *nxt* (``(n,)``, or ``(n, k)`` with one map per
+    column): ``ceil(log2 n)`` squarings."""
+    for _ in range((nxt.shape[0] - 1).bit_length()):
+        nxt = np.take_along_axis(nxt, nxt, axis=0)
+    return nxt
 
 
 def _min_plus_column(W: np.ndarray, sow: np.ndarray, maxint: int,
                      *, off_diagonal: bool = False) -> np.ndarray:
-    """One min-plus relaxation of ``sow`` through ``W``, saturated.
+    """One dense min-plus relaxation of ``sow`` through ``W``, saturated.
 
     With ``off_diagonal=True`` the min excludes ``u == v``. Including the
     zero diagonal is fine for *relaxation* (``W[v,v] + sow[v]`` never
@@ -56,6 +131,8 @@ def verify_mcp(
     ptn: np.ndarray,
     d: int,
     maxint: int,
+    *,
+    csr: OracleCSR | None = None,
 ) -> list[str]:
     """Violations of the Bellman fixpoint for one destination (empty=ok).
 
@@ -64,6 +141,7 @@ def verify_mcp(
     successor consistency — for every reachable non-destination vertex
     ``v``, ``sow[v] == W[v, ptn[v]] + sow[ptn[v]]`` with a reachable
     successor, so the returned *paths* (not just the costs) are optimal.
+    *csr* is :func:`oracle_csr` of *W*, built here when not given.
     """
     W = np.asarray(W, dtype=np.int64)
     sow = np.asarray(sow, dtype=np.int64)
@@ -80,7 +158,9 @@ def verify_mcp(
     if (sow < 0).any() or (sow > maxint).any():
         problems.append("sow leaves [0, maxint]")
         return problems
-    expected = _min_plus_column(W, sow, maxint, off_diagonal=True)
+    if csr is None:
+        csr = oracle_csr(W, maxint)
+    expected = _fixpoint(csr, sow, maxint)
     expected[d] = 0
     bad = np.flatnonzero(expected != sow)
     for v in bad[:4]:
@@ -116,14 +196,9 @@ def verify_mcp(
                 # every hop telescopes, so if the walk also *terminates*
                 # at d the claimed costs are achievable path costs; a
                 # cycle here would mean mutually-supporting wrong claims
-                pos = np.arange(n)
-                stepping = reachable & (pos != d)
-                for _ in range(n):
-                    if not stepping.any():
-                        break
-                    pos = np.where(stepping, ptn[pos], pos)
-                    stepping = reachable & (pos != d)
-                stuck = np.flatnonzero(stepping)
+                nxt = np.arange(n)
+                nxt[via] = succ
+                stuck = np.flatnonzero(reachable & (_walk_ends(nxt) != d))
                 if stuck.size:
                     problems.append(
                         f"ptn cycles without reaching {d} from "
@@ -137,12 +212,16 @@ def verify_apsp(
     dist: np.ndarray,
     succ: np.ndarray,
     maxint: int,
+    *,
+    csr: OracleCSR | None = None,
 ) -> list[str]:
     """Bellman-fixpoint verification of a full APSP solution (empty=ok).
 
-    Vectorised over all destinations at once: O(n^3) numpy ops, still far
-    cheaper than any engine's solve. Successor consistency is checked on
-    every reachable off-diagonal pair.
+    The checks of :func:`verify_mcp`, on every column, run over blocks
+    of destination columns sized so one ``m x columns`` candidate block
+    stays near 1 MiB: O(n m) work in O(n^2) memory. Successor
+    consistency is checked on every reachable off-diagonal pair. *csr*
+    is :func:`oracle_csr` of *W*, built here when not given.
     """
     W = np.asarray(W, dtype=np.int64)
     dist = np.asarray(dist, dtype=np.int64)
@@ -156,61 +235,60 @@ def verify_apsp(
     if (dist < 0).any() or (dist > maxint).any():
         problems.append("dist leaves [0, maxint]")
         return problems
-    # Fixpoint: dist == min-plus(W, dist) off-diagonal, all columns at
-    # once — the min over first hops u != v (see verify_mcp on why the
-    # zero diagonal must be excluded).
-    cand = W[:, :, np.newaxis] + dist[np.newaxis, :, :]
-    np.minimum(cand, maxint, out=cand)
-    cand[(W >= maxint), :] = maxint
-    inf_mid = dist >= maxint  # (u, d) legs that are infinite
-    cand[:, inf_mid] = maxint
-    cand[np.arange(n), np.arange(n), :] = maxint
-    expected = cand.min(axis=1)
-    expected[np.arange(n), np.arange(n)] = 0
-    bad = np.argwhere(expected != dist)
-    for v, d in bad[:4]:
-        problems.append(
-            f"fixpoint violated at ({int(v)} -> {int(d)}): "
-            f"dist={int(dist[v, d])}, min-plus={int(expected[v, d])}"
+    if csr is None:
+        csr = oracle_csr(W, maxint)
+    block = min(_BLOCK_BYTES, 4 * n * n)
+    width = max(1, block // (8 * max(n, csr.cols.size)))
+    rows = np.arange(n)[:, np.newaxis]
+    mismatch = np.zeros((n, n), dtype=bool)
+    hop_bad = np.zeros((n, n), dtype=bool)
+    stuck = np.zeros((n, n), dtype=bool)
+    outside = False
+    for d0 in range(0, n, width):
+        cols = slice(d0, min(n, d0 + width))
+        dests = np.arange(n)[np.newaxis, cols]
+        dist_c = dist[:, cols]
+        diagonal = rows == dests
+        # Fixpoint: the min over first hops u != v (see verify_mcp on why
+        # the zero diagonal must be excluded).
+        expected = _fixpoint(csr, dist_c, maxint)
+        np.putmask(expected, diagonal, 0)
+        mismatch[:, cols] = expected != dist_c
+        pairs = (dist_c < maxint) & ~diagonal
+        s = succ[:, cols]
+        if (pairs & ((s < 0) | (s >= n))).any():
+            outside = True
+            continue
+        s = np.where(pairs, s, rows)
+        edge = W[rows, s]
+        tail = np.take_along_axis(dist_c, s, axis=0)
+        ok = (s != rows) & (edge < maxint) & (tail < maxint) & (
+            dist_c == edge + tail
         )
-    if bad.shape[0] > 4:
-        problems.append(f"... and {bad.shape[0] - 4} more fixpoint "
-                        "violations")
-    v_idx, d_idx = np.nonzero((dist < maxint)
-                              & (np.arange(n)[:, None] != np.arange(n)))
-    if v_idx.size:
-        s = succ[v_idx, d_idx]
-        if (s < 0).any() or (s >= n).any():
-            problems.append("succ points outside the vertex range")
-        else:
-            edge = W[v_idx, s]
-            tail = dist[s, d_idx]
-            ok = (s != v_idx) & (edge < maxint) & (tail < maxint) & (
-                dist[v_idx, d_idx] == edge + tail
-            )
-            if not ok.all():
-                k = int(np.flatnonzero(~ok)[0])
-                problems.append(
-                    f"succ inconsistent at ({int(v_idx[k])} -> "
-                    f"{int(d_idx[k])})"
-                )
-            elif not problems:
-                # per-column successor walks must all reach the diagonal
-                dest_row = np.arange(n)[np.newaxis, :]
-                pos = np.tile(np.arange(n)[:, np.newaxis], (1, n))
-                stepping = (dist < maxint) & (pos != dest_row)
-                for _ in range(n):
-                    if not stepping.any():
-                        break
-                    pos = np.where(stepping, succ[pos, dest_row], pos)
-                    stepping = (dist < maxint) & (pos != dest_row)
-                stuck = np.argwhere(stepping)
-                if stuck.size:
-                    v, d = stuck[0]
-                    problems.append(
-                        f"succ cycles without reaching the destination "
-                        f"({int(v)} -> {int(d)}, {stuck.shape[0]} such)"
-                    )
+        hop_bad[:, cols] = pairs & ~ok
+        # per-column successor walks must all reach the diagonal
+        stuck[:, cols] = pairs & (_walk_ends(s) != dests)
+    count = int(np.count_nonzero(mismatch))
+    for k in np.flatnonzero(mismatch)[:4]:
+        v, d = divmod(int(k), n)
+        want = 0 if v == d else int(_fixpoint(csr, dist[:, d], maxint)[v])
+        problems.append(
+            f"fixpoint violated at ({v} -> {d}): "
+            f"dist={int(dist[v, d])}, min-plus={want}"
+        )
+    if count > 4:
+        problems.append(f"... and {count - 4} more fixpoint violations")
+    if outside:
+        problems.append("succ points outside the vertex range")
+    elif hop_bad.any():
+        v, d = divmod(int(np.argmax(hop_bad)), n)
+        problems.append(f"succ inconsistent at ({v} -> {d})")
+    elif not problems and stuck.any():
+        v, d = divmod(int(np.argmax(stuck)), n)
+        problems.append(
+            f"succ cycles without reaching the destination "
+            f"({v} -> {d}, {int(np.count_nonzero(stuck))} such)"
+        )
     return problems
 
 

@@ -34,7 +34,11 @@ The machine factory is injectable; the chaos harness uses it to hand the
 service fault-plan-carrying machines (PR 3) and to trip worker chaos.
 All service state (ladder, breaker, caches, counters) is touched only on
 the event loop; compute threads receive immutable graphs and return
-plain results.
+plain results. Each graph version is prepared once, when ``put_graph``
+or a delta creates it: its normalised plane with the compiled tier's
+edge list, and the oracle's own CSR of the same plane, all read-only
+and shared by every compute thread, so a column miss does O(m) array
+work around the engine's rounds.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ import numpy as np
 
 from repro.core.apsp import all_pairs_minimum_cost
 from repro.core.batched import batched_minimum_cost_path
-from repro.core.graph import normalize_weights
 # no caller here (a column is a one-lane batch); perfbench/layers.py rebinds it
 from repro.core.mcp import minimum_cost_path  # noqa: F401
+from repro.engine.compiled import PreparedPlane
 from repro.engine.costs import cost_cache_size, cost_cache_stats
 from repro.engine.select import fused_block_reason
 from repro.errors import ConfigurationError, GraphError, ReproError
@@ -78,7 +82,7 @@ from repro.serve.delta import (
     decode_edges,
     dirty_destinations,
 )
-from repro.serve.oracle import verify_apsp, verify_mcp
+from repro.serve.oracle import OracleCSR, oracle_csr, verify_apsp, verify_mcp
 from repro.serve.protocol import PROTOCOL_VERSION, MAX_LINE_BYTES, Request, \
     Response, decode_line, encode_message
 from repro.telemetry.profile import RunProfile
@@ -161,17 +165,48 @@ class ServiceConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Graph:
-    """One registered named graph (immutable once stored)."""
+    """One version of a registered named graph, immutable.
+
+    Built once per version (:meth:`_Graph.build`): ``plane`` holds the
+    normalised read-only int64 grid (``maxint`` sentinels) and the
+    compiled tier's edge list, which the engines take as they are;
+    ``csr`` is the oracle's own CSR of the same grid, derived from it
+    by :func:`~repro.serve.oracle.oracle_csr`.
+    """
 
     name: str
-    W: np.ndarray  # normalised int64 grid with maxint sentinels
-    n: int
+    plane: PreparedPlane
+    csr: OracleCSR
     word_bits: int
-    maxint: int
     version: int
     digest: str
+
+    @classmethod
+    def build(cls, name: str, W, word_bits: int, version: int, *,
+              zero_diagonal: str = "require") -> "_Graph":
+        probe = PPAMachine(PPAConfig(n=int(np.shape(W)[0]),
+                                     word_bits=word_bits))
+        plane = PreparedPlane(W, probe, zero_diagonal=zero_diagonal)
+        digest = hashlib.blake2b(
+            plane.W.tobytes() + bytes([word_bits]), digest_size=16
+        ).hexdigest()
+        return cls(name=name, plane=plane,
+                   csr=oracle_csr(plane.W, plane.maxint),
+                   word_bits=word_bits, version=version, digest=digest)
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.plane.W
+
+    @property
+    def n(self) -> int:
+        return int(self.plane.W.shape[0])
+
+    @property
+    def maxint(self) -> int:
+        return self.plane.maxint
 
 
 class _AnswerRejected(ReproError):
@@ -474,18 +509,11 @@ class PathQueryService:
                 f"weights must be a square matrix of side >= 2, got shape "
                 f"{raw.shape}"
             )
-        probe = PPAMachine(PPAConfig(n=int(raw.shape[0]),
-                                     word_bits=req.word_bits))
-        W = normalize_weights(raw, probe, zero_diagonal="set")
-        version = self._versions.get(req.graph, 0) + 1
-        digest = hashlib.blake2b(
-            W.tobytes() + bytes([req.word_bits]), digest_size=16
-        ).hexdigest()
-        g = _Graph(name=req.graph, W=W, n=int(W.shape[0]),
-                   word_bits=req.word_bits, maxint=probe.maxint,
-                   version=version, digest=digest)
+        g = _Graph.build(req.graph, raw, req.word_bits,
+                         self._versions.get(req.graph, 0) + 1,
+                         zero_diagonal="set")
         self.graphs[req.graph] = g
-        self._versions[req.graph] = version
+        self._versions[req.graph] = g.version
         self.ladder.forget(req.graph)  # new content, fresh health record
         self._purge(req.graph)
         return Response(id=req.id, status="ok", op="put_graph", result={
@@ -514,12 +542,8 @@ class PathQueryService:
                 f"{g.version}, delta targets {req.base_version}"
             )
         edges = decode_edges(req.edges, g.n, g.maxint)
-        W_new = apply_edge_delta(g.W, edges, g.maxint)
-        digest = hashlib.blake2b(
-            W_new.tobytes() + bytes([g.word_bits]), digest_size=16
-        ).hexdigest()
-        new = _Graph(name=g.name, W=W_new, n=g.n, word_bits=g.word_bits,
-                     maxint=g.maxint, version=g.version + 1, digest=digest)
+        new = _Graph.build(g.name, apply_edge_delta(g.W, edges, g.maxint),
+                           g.word_bits, g.version + 1)
         self.graphs[g.name] = new
         self._versions[g.name] = new.version
         # unlike a full replace, graph health history stays: the content
@@ -539,7 +563,7 @@ class PathQueryService:
             for i in np.flatnonzero(~dirty):
                 self._columns[(g.name, new.version, cached[i])] = entries[i]
             warm = certify_warm_plane(
-                W_new, sow[:, dirty_idx], ptn[:, dirty_idx],
+                new.W, sow[:, dirty_idx], ptn[:, dirty_idx],
                 np.asarray(cached)[dirty_idx], g.maxint,
             )
             for j, i in enumerate(dirty_idx):
@@ -559,7 +583,7 @@ class PathQueryService:
             else:
                 dirty_idx = np.flatnonzero(dirty)
                 warm = certify_warm_plane(
-                    W_new, plane["dist"][:, dirty_idx],
+                    new.W, plane["dist"][:, dirty_idx],
                     plane["succ"][:, dirty_idx], dirty_idx, g.maxint,
                 )
                 self._apsp_salvage[(g.name, new.version)] = {
@@ -918,9 +942,13 @@ class PathQueryService:
                     degraded = None
                     if rung.index > 0 or reasons or notes:
                         degraded = rung.record(reasons + notes, step.workers)
-                    if op == "apsp":
+                    # a delta, re-put or delete during the compute retired
+                    # this version: its waiters still get the verified
+                    # answer, but no lookup could reach it in the caches
+                    current = self.graphs.get(g.name) is g
+                    if current and op == "apsp":
                         self._store_apsp(g, payload, degraded)
-                    else:
+                    elif current:
                         for d in dests:
                             self._store_column(g, d, payload[d], degraded)
                     return finish("ok", payload=payload, degraded=degraded)
@@ -1061,8 +1089,8 @@ class PathQueryService:
                     and (warm[rows] < g.maxint).any():
                 seed = warm[rows]
             res = batched_minimum_cost_path(
-                machine.lanes(int(chunk.size)), g.W, chunk, engine=engine,
-                warm_sow=seed,
+                machine.lanes(int(chunk.size)), g.plane, chunk,
+                engine=engine, warm_sow=seed,
             )
             sow[rows], ptn[rows] = res.sow, res.ptn
             iterations[rows] = res.iterations
@@ -1084,7 +1112,8 @@ class PathQueryService:
             g, dests, rung, notes, width, warm)
         out: dict[int, dict] = {}
         for b, d in enumerate(dests):
-            problems = verify_mcp(g.W, sow[b], ptn[b], d, g.maxint)
+            problems = verify_mcp(g.W, sow[b], ptn[b], d, g.maxint,
+                                  csr=g.csr)
             if problems:
                 raise _AnswerRejected(problems)
             out[d] = {"sow": sow[b].copy(), "ptn": ptn[b].copy(),
@@ -1133,7 +1162,7 @@ class PathQueryService:
             )
             dist, succ, iterations = res.dist, res.succ, res.iterations
             shard_failures = len(res.shard_report.get("failures", ()))
-        problems = verify_apsp(g.W, dist, succ, g.maxint)
+        problems = verify_apsp(g.W, dist, succ, g.maxint, csr=g.csr)
         if problems:
             raise _AnswerRejected(problems)
         digest = hashlib.blake2b(
