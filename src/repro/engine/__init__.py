@@ -10,9 +10,10 @@
     relaxation round is one vectorised numpy kernel, and the counters are
     charged from a per-configuration cost vector replayed off the cycle
     engine (:mod:`repro.engine.costs`). Sparse shared planes relax over
-    their edge list; dense planes and per-lane stacks over cache-blocked
-    tiles. Bit-identical results and ledgers, orders of magnitude less
-    Python dispatch.
+    their edge list — row by row, or lane-minor over its jagged layout
+    for sweeps with many lanes; dense planes and per-lane stacks over
+    cache-blocked tiles. Bit-identical results and ledgers, orders of
+    magnitude less Python dispatch.
 
 ``fused``
     The whole-array dense reference (:mod:`repro.engine.fused`): the same
@@ -31,12 +32,15 @@ composes with any tier through ``all_pairs_minimum_cost(workers=...)``.
 
 from repro.engine.compiled import (
     EDGE_LIST_MAX_DENSITY,
+    LANE_MINOR_MIN_LANES,
     blocked_relax,
     compiled_batched_minimum_cost_path,
     compiled_kernel_info,
     compiled_minimum_cost_path,
     edge_list,
     edge_relax,
+    jagged_layout,
+    jagged_relax,
     lane_block,
     row_block,
 )
@@ -86,8 +90,11 @@ __all__ = [
     "fused_minimum_cost_path",
     "fused_batched_minimum_cost_path",
     "EDGE_LIST_MAX_DENSITY",
+    "LANE_MINOR_MIN_LANES",
     "edge_list",
     "edge_relax",
+    "jagged_layout",
+    "jagged_relax",
     "row_block",
     "lane_block",
     "blocked_relax",

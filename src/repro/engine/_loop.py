@@ -1,25 +1,34 @@
 """The shared analytic-cost MCP loop.
 
 Both analytic tiers — ``compiled`` (edge-list or cache-blocked dense
-kernel, chosen per call by the plane's density) and ``fused`` (the
-whole-array dense reference) — run the *same* control flow: init
-row-``d`` state, relax until convergence, charge counters by replaying
-the per-configuration cost vector (:mod:`repro.engine.costs`). The only
-difference between the tiers is the relaxation kernel, so the loop lives
-here once, parameterised by a ``relax(sow, W, maxint)`` callable that it
-calls once per round with the normalised plane, and the per-tier modules
-stay thin. The weights are a raw array, normalised per call, or a
-:class:`~repro.engine.compiled.PreparedPlane`, whose read-only plane is
-used as it is. A kernel may keep per-plane state for the duration of one
-call (the compiled tier's edge list, unless the prepared plane brought
-it); the loop never caches anything across calls. Counters are replayed
-once per call, after the last round: ``init`` up front, then ``rounds x
-iteration`` on the scalar book and ``iterations[b] x iteration`` on lane
-``b`` (:mod:`repro.engine.costs`). Anything pinned about the engines' semantics
-(smallest-index tie-break, convergence masking, lane ledgers, the
-``MIN_SOW[d, d] = 0`` invariant) is pinned about this loop — the
-differential suite in ``tests/engine/`` exercises it through both tiers
-and both compiled kernels.
+kernels, chosen per call by the plane's density and the lane count) and
+``fused`` (the whole-array dense reference) — run the *same* control
+flow: init row-``d`` state, relax until convergence, charge counters by
+replaying the per-configuration cost vector (:mod:`repro.engine.costs`).
+The only difference between the tiers is the relaxation kernel, so the
+loop lives here once, parameterised by a ``relax(sow, W, maxint)``
+callable that it calls once per round with the normalised plane, and
+the per-tier modules stay thin. The weights are a raw array, normalised
+per call, or a :class:`~repro.engine.compiled.PreparedPlane`, whose
+read-only plane is used as it is. A kernel may keep per-plane state for
+the duration of one call (the compiled tier's edge list, unless the
+prepared plane brought it, and its jagged layout); the loop never caches
+anything across calls. Counters are replayed once per call, after the
+last round: ``init`` up front, then ``rounds x iteration`` on the scalar
+book and ``iterations[b] x iteration`` on lane ``b``
+(:mod:`repro.engine.costs`).
+
+The batched loop keeps its ``(B, n)`` state **lane-minor**: ``sow.T``
+and ``ptn.T`` are C-contiguous, so a vertex's lanes sit side by side,
+and every update writes in place, which keeps that order. Kernels still
+receive ``(B, n)``-shaped state; the compiled tier's jagged kernel reads
+it as the ``(n, B)`` block, and kernels that read it lanes-outer make
+their own rows. At ``B = 1`` both orders are the same bytes.
+
+Anything pinned about the engines' semantics (smallest-index tie-break,
+convergence masking, lane ledgers, the ``MIN_SOW[d, d] = 0`` invariant)
+is pinned about this loop — the differential suite in ``tests/engine/``
+exercises it through both tiers and every compiled kernel.
 """
 
 from __future__ import annotations
@@ -280,15 +289,16 @@ def run_analytic_batched_mcp(
     lane_idx = np.arange(batch)
 
     # Init: every lane charges the init delta (lane mask is all-True),
-    # and lane b's row-d state holds column dest[b] of its matrix.
+    # and lane b's row-d state holds column dest[b] of its matrix. The
+    # state is lane-minor: (B, n) with sow.T C-contiguous, so a vertex's
+    # lanes sit side by side; the updates below are in place and keep it.
     machine.set_active_lanes(None)
     machine.apply_counter_delta(cost.init)
     if Wm.ndim == 2:
-        sow = Wm[:, dest].T.copy()  # (B, n): sow[b, j] = W[j, dest[b]]
+        column = Wm[:, dest].T  # (B, n): sow[b, j] = W[j, dest[b]]
     else:
-        sow = np.take_along_axis(
-            Wm, dest[:, None, None], axis=2
-        )[:, :, 0].copy()
+        column = np.take_along_axis(Wm, dest[:, None, None], axis=2)[:, :, 0]
+    sow = np.array(column, order="F")
     if warm_sow is not None:
         warm = np.asarray(warm_sow, dtype=sow.dtype)
         if warm.shape != (batch, n):
@@ -297,7 +307,7 @@ def run_analytic_batched_mcp(
                 f"{warm.shape}"
             )
         np.minimum(sow, np.minimum(warm, maxint), out=sow)
-    ptn = np.broadcast_to(dest[:, None], (batch, n)).copy()
+    ptn = np.array(np.broadcast_to(dest[:, None], (batch, n)), order="F")
 
     iterations = np.zeros(batch, dtype=np.int64)
     active = np.ones(batch, dtype=bool)
@@ -310,12 +320,14 @@ def run_analytic_batched_mcp(
             new_sow, arg = relax(sow, Wm, maxint)
             new_sow[lane_idx, dest] = 0
             arg[lane_idx, dest] = dest
-            # Freeze converged lanes: the SIMD datapath computed them, but
-            # their stores are gated off (the cycle loop's `gate` mask).
-            changed = (new_sow != sow) & active[:, None]
-            sow = np.where(active[:, None], new_sow, sow)
-            ptn = np.where(changed, arg, ptn)
-            active = active & changed.any(axis=1)
+            # The cycle loop gates a converged lane's stores off (its
+            # `gate` mask). Ungated stores agree: the lane is a fixpoint
+            # of this deterministic per-lane round, so it is recomputed
+            # unchanged and never reads as changed again.
+            changed = new_sow != sow
+            np.copyto(sow, new_sow)
+            np.copyto(ptn, arg, where=changed)
+            active = changed.any(axis=1)
 
             if active.any() and rounds >= max_iterations:
                 raise GraphError(

@@ -4,13 +4,15 @@ The engine ``auto`` resolves to on every eligible machine (see
 :mod:`repro.engine.select`). Statement 10 of the paper's loop,
 ``SOW_id <- min_j(w_ij + SOW_jd)``, only does useful work where an edge
 ``i -> j`` exists, so the tier picks its relaxation kernel per engine
-call from the weight plane it is handed: the **edge list**
-(:func:`edge_relax`) for a shared ``(n, n)`` plane whose density — the
-share of its ``n x n`` entries below MAXINT, zero diagonal included — is
-below :data:`EDGE_LIST_MAX_DENSITY` and whose packed key fits
-(:func:`edge_list`); the **dense tiles** (:func:`blocked_relax`) for
-every other plane: denser shared planes, per-lane ``(B, n, n)`` stacks,
-and words too wide for the key.
+call from the weight plane it is handed and the lanes it runs: the
+**edge list** for a shared ``(n, n)`` plane whose density — the share of
+its ``n x n`` entries below MAXINT, zero diagonal included — is below
+:data:`EDGE_LIST_MAX_DENSITY` and whose packed key fits
+(:func:`edge_list`), relaxed row by row (:func:`edge_relax`) below
+:data:`LANE_MINOR_MIN_LANES` lanes and over its **jagged layout**
+(:func:`jagged_relax`) from there; the **dense tiles**
+(:func:`blocked_relax`) for every other plane: denser shared planes,
+per-lane ``(B, n, n)`` stacks, and words too wide for the key.
 
 * **Edge list.** The plane's entries below MAXINT are gathered once per
   engine call, in row-major (CSR) order, as packed keys
@@ -25,6 +27,18 @@ and words too wide for the key.
   exact while ``word_bits + 1 + s <= 63`` (the unclipped sum of two
   words needs one carry bit); wider configurations take the dense tiles.
   Lanes are chunked so one ``lanes x nnz`` gather stays near 1 MiB.
+* **Jagged layout.** The batched loop keeps its state lane-minor
+  (:mod:`repro.engine._loop`): ``sow.T`` is an ``(n, B)`` C-contiguous
+  block, one contiguous lane vector per vertex. :func:`jagged_layout`
+  reorders the edge list once per engine call: rows by entry count,
+  longest first, and slot ``k`` holding the ``k``-th entry of every row
+  with more than ``k`` — a prefix of the ordered rows. One slot is three
+  whole-array calls — take the rows' lane vectors, add the keys, take
+  the minimum into the prefix — so a round is ~3 calls per entry of the
+  longest row, whatever the lane count. A minimum over packed keys is
+  order-free, so the tie-break survives the reordering, and rows with no
+  entry read a spare row that stays at the saturated key. Keys are int32
+  whenever ``word_bits + 1 + s <= 31``, else int64.
 * **Dense tiles.** The candidate block ``sow[..., None, :] + W[i0:i1]``
   is built one ``lanes x rows x n`` tile at a time, sized to ~1 MiB
   (:func:`row_block`, :func:`lane_block`); the argmin and the minimum
@@ -35,6 +49,10 @@ and words too wide for the key.
   changes no minimum, and a row whose minimum reaches it reports
   ``(MAXINT, 0)``.
 
+Kernels that read the state lanes-outer (the row-by-row list, the dense
+tiles, ``fused``) copy the loop's lane-minor state into rows themselves;
+at one lane both orders are the same bytes.
+
 A caller that solves one plane many times prepares it once: a
 :class:`PreparedPlane` holds the normalised plane and its edge list
 (``None`` when the dense tiles run), both read-only, and every engine
@@ -42,7 +60,8 @@ entry point accepts it wherever it accepts a raw weight array, skipping
 normalisation and the list's build. The lifetime rule is one immutable
 list per plane: nothing writes into either after construction, so
 compute threads share them and forked shard workers inherit them. A raw
-array still gets a fresh normalisation and list per engine call
+array still gets a fresh normalisation and list per engine call, and the
+jagged layout is derived from the list once per engine call
 (:func:`relax_kernel`).
 
 Counters are **replayed** from the same per-configuration analytic cost
@@ -59,7 +78,6 @@ Process-parallel APSP destination sharding rides on this tier — see
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -73,10 +91,14 @@ from repro.ppa.machine import PPAMachine
 
 __all__ = [
     "EDGE_LIST_MAX_DENSITY",
+    "LANE_MINOR_MIN_LANES",
     "EdgeList",
+    "JaggedEdges",
     "PreparedPlane",
     "edge_list",
     "edge_relax",
+    "jagged_layout",
+    "jagged_relax",
     "row_block",
     "lane_block",
     "blocked_relax",
@@ -94,8 +116,6 @@ _BLOCK_TARGET_BYTES = 1 << 20
 #: Floor on rows per tile: below this the Python loop overhead dominates.
 _MIN_BLOCK_ROWS = 16
 
-_BLOCK_ENV = "REPRO_COMPILED_BLOCK"
-
 #: Plane density (entries below MAXINT over ``n**2``) from which the dense
 #: tiles replace the edge list. Measured on a 2-vCPU Xeon (numpy 2.4), one
 #: round at ``n = 256``/``512``: with 64-256 lanes the edge list wins up to
@@ -104,19 +124,28 @@ _BLOCK_ENV = "REPRO_COMPILED_BLOCK"
 #: crossover is ~0.3-0.4 (docs/performance.md, "Choosing an engine").
 EDGE_LIST_MAX_DENSITY = 0.4
 
+#: Lanes from which an edge-list call relaxes lane-minor state over the
+#: list's jagged layout (:func:`jagged_relax`) instead of row segments
+#: (:func:`edge_relax`). Measured on a 2-vCPU Xeon (numpy 2.4) at
+#: ``n = 256``: on one thread the jagged kernel wins from ~32 lanes; under
+#: the service's 8 compute threads it loses at 16-32 lanes (its ~80 short
+#: numpy calls per round each drop and retake the GIL), ties at 64 and
+#: wins at 128 (docs/performance.md, "The compiled tier's kernel rule").
+LANE_MINOR_MIN_LANES = 64
+
+#: Widest packed key the jagged kernel holds in int32 (the sign bit stays
+#: clear).
+_NARROW_KEY_BITS = 31
+
 
 def row_block(batch: int, n: int) -> int:
     """Rows per candidate tile for a ``(batch, n)`` state relaxation.
 
     Sized so one ``batch x rows x n`` int64 tile is ~`_BLOCK_TARGET_BYTES`,
     floored at ``_MIN_BLOCK_ROWS`` and capped at ``n``; when the floor
-    wins, :func:`lane_block` splits the lanes instead. Overridable via the
-    ``REPRO_COMPILED_BLOCK`` environment variable (any positive integer) —
-    a tuning knob only; every block size is bit-identical.
+    wins, :func:`lane_block` splits the lanes instead. Every block size is
+    bit-identical.
     """
-    override = os.environ.get(_BLOCK_ENV)
-    if override:
-        return max(1, min(int(override), n))
     rows = _BLOCK_TARGET_BYTES // (max(1, batch) * max(1, n) * 8)
     return min(max(_MIN_BLOCK_ROWS, int(rows)), n)
 
@@ -169,11 +198,12 @@ def blocked_relax(sow: np.ndarray, W: np.ndarray, maxint: int):
     """The dense-tile relaxation kernel. Accepts the same shapes as the
     fused kernel — ``(n,)`` or ``(B, n)`` state against ``(n, n)`` or
     ``(B, n, n)`` weights — and returns bit-identical ``(new_sow, arg)``.
+    Tiles read the state lanes-outer, so lane-minor state is copied.
     """
     if sow.ndim == 1:
         best, arg = _relax_numpy_blocked(sow[None, :], W, maxint)
         return best[0], arg[0]
-    return _relax_numpy_blocked(sow, W, maxint)
+    return _relax_numpy_blocked(np.ascontiguousarray(sow), W, maxint)
 
 
 class EdgeList(NamedTuple):
@@ -287,7 +317,8 @@ def edge_relax(sow: np.ndarray, edges: EdgeList, maxint: int):
     )
     nnz = int(edges.cols.size)
     if nnz:
-        sow_key = sow2 << shift
+        # lanes-outer: each lane's gather reads one contiguous row
+        sow_key = np.left_shift(sow2, shift, order="C")
         lanes = min(B, max(1, _BLOCK_TARGET_BYTES // (8 * nnz)))
         # One gather buffer serves every lane chunk of the call.
         gather = np.empty((lanes, nnz), dtype=sow_key.dtype)
@@ -311,35 +342,139 @@ def edge_relax(sow: np.ndarray, edges: EdgeList, maxint: int):
     return best, arg
 
 
+class JaggedEdges(NamedTuple):
+    """An :class:`EdgeList` in jagged-diagonal order, for lane-minor state.
+
+    Rows are ordered by entry count, longest first, and slot ``k`` holds
+    the ``k``-th entry of every row with more than ``k`` entries — a
+    prefix of the ordered rows — so a slot relaxes as whole-array ops
+    over ``(rows, lanes)`` blocks.
+    """
+
+    #: Column bits of a packed key: ``bit_length(n - 1)``.
+    shift: int
+    #: Per slot, its columns ``(r,)`` and packed keys ``(r, 1)``, for the
+    #: first ``r`` ordered rows.
+    slots: tuple[tuple[np.ndarray, np.ndarray], ...]
+    #: ``(n,)`` ordered position of each row; rows with no entry point
+    #: one past the last ordered row, which stays saturated.
+    position: np.ndarray
+    #: Rows with at least one entry.
+    rows: int
+    #: int32 when ``word_bits + 1 + shift <= 31``, else int64.
+    dtype: np.dtype
+
+
+def jagged_layout(edges: EdgeList, n: int, maxint: int) -> JaggedEdges:
+    """The jagged-diagonal order of an ``(n, n)`` plane's *edges*.
+
+    Derived from the list alone, never from the plane. Keys narrow to
+    int32 when a word sum, its carry bit and a column index fit in 31
+    bits.
+    """
+    shift = edges.shift
+    nnz = int(edges.cols.size)
+    rows = np.arange(n) if edges.rows is None else edges.rows
+    counts = np.diff(edges.starts, append=nnz)
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = edges.starts[order], counts[order]
+    dtype = np.dtype(
+        np.int32
+        if int(maxint).bit_length() + 1 + shift <= _NARROW_KEY_BITS
+        else np.int64
+    )
+    keys = edges.keys.astype(dtype)
+    # Slot k covers the ordered rows with more than k entries.
+    widths = np.searchsorted(-counts, -np.arange(counts.max(initial=0)))
+    slots = []
+    for k, width in enumerate(widths.tolist()):
+        at = starts[:width] + k
+        slots.append((edges.cols[at], keys[at][:, None]))
+    position = np.full(n, rows.size, dtype=np.int64)
+    position[rows[order]] = np.arange(rows.size)
+    return JaggedEdges(shift, tuple(slots), position, int(rows.size), dtype)
+
+
+def jagged_relax(sow: np.ndarray, layout: JaggedEdges, maxint: int):
+    """One relaxation over *layout* with the dense kernels' ``(new_sow,
+    arg)``, bit for bit.
+
+    The ``(B, n)`` state is read lane-minor — ``sow.T`` is the ``(n, B)``
+    block the loop keeps C-contiguous — and ``(n,)`` state as one lane.
+    A slot takes its rows' lane vectors, adds the keys and takes the
+    minimum into the prefix; a minimum over packed keys is order-free,
+    so the smallest-index tie-break holds in any slot order.
+    """
+    serial = sow.ndim == 1
+    state = sow[:, None] if serial else sow.T
+    shift = layout.shift
+    saturated = maxint << shift
+    sow_key = np.left_shift(state, shift, dtype=layout.dtype, order="C")
+    best = np.empty((layout.rows + 1, sow_key.shape[1]), dtype=layout.dtype)
+    best[layout.rows] = saturated
+    gather = np.empty_like(best)
+    for k, (cols, keys) in enumerate(layout.slots):
+        # slot 0 covers every row with an entry: it seeds the minima
+        cand = (gather if k else best)[: cols.size]
+        # jagged_layout takes in-range columns, so "clip" never clips
+        np.take(sow_key, cols, axis=0, out=cand, mode="clip")
+        cand += keys
+        if k:
+            head = best[: cols.size]
+            np.minimum(head, cand, out=head)
+    np.minimum(best, saturated, out=best)
+    packed = np.take(best, layout.position, axis=0)
+    new_sow = np.right_shift(packed, shift, dtype=np.int64)
+    arg = np.bitwise_and(packed, (1 << shift) - 1, dtype=np.int64)
+    if serial:
+        return new_sow[:, 0], arg[:, 0]
+    return new_sow.T, arg.T
+
+
 def relax_kernel(W=None):
     """A fresh relaxation kernel for one engine call on weights *W*.
 
     On the first round it sees a plane, it builds that plane's
     :func:`edge_list` (or settles on the dense tiles) and keeps the choice
-    for the rest of the call. When *W* is a :class:`PreparedPlane`, the
-    kernel starts with its plane and list and builds nothing.
+    for the rest of the call; with at least :data:`LANE_MINOR_MIN_LANES`
+    lanes it also derives the list's :func:`jagged_layout` once. When *W*
+    is a :class:`PreparedPlane`, the kernel starts with its plane and list
+    and builds no list.
     """
     plane: np.ndarray | None = None
     edges: EdgeList | None = None
+    jagged: JaggedEdges | None = None
     if isinstance(W, PreparedPlane):
         plane, edges = W.W, W.edges
 
     def relax(sow: np.ndarray, W: np.ndarray, maxint: int):
-        nonlocal plane, edges
+        nonlocal plane, edges, jagged
         if W is not plane:
-            plane, edges = W, edge_list(W, maxint)
+            plane, edges, jagged = W, edge_list(W, maxint), None
         if edges is None:
             return blocked_relax(sow, W, maxint)
-        return edge_relax(sow, edges, maxint)
+        lanes = 1 if sow.ndim == 1 else sow.shape[0]
+        if lanes < LANE_MINOR_MIN_LANES:
+            return edge_relax(sow, edges, maxint)
+        if jagged is None:
+            jagged = jagged_layout(edges, int(W.shape[0]), maxint)
+        return jagged_relax(sow, jagged, maxint)
 
     return relax
 
 
 def compiled_kernel_info() -> dict:
-    """Introspection for docs/CI: the kernel-selection constants."""
+    """Introspection for docs/CI: the kernel-selection constants.
+
+    ``narrow_key_max_bits`` is the key-width rule: the jagged kernel
+    packs int32 keys when ``word_bits + 1 + bit_length(n - 1)`` is at
+    most this, and int64 keys otherwise.
+    """
     return {
         "backend": "numpy",
         "edge_list_max_density": EDGE_LIST_MAX_DENSITY,
+        "lane_minor_min_lanes": LANE_MINOR_MIN_LANES,
+        "narrow_key_max_bits": _NARROW_KEY_BITS,
         "block_target_bytes": _BLOCK_TARGET_BYTES,
     }
 

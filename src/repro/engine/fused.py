@@ -69,7 +69,9 @@ def _relax(sow: np.ndarray, W: np.ndarray, maxint: int):
     matching the bit-serial ``selected_min`` tie-break over ``COL``.
     """
     # cand[..., i, j] = min(sow[..., j] + W[..., i, j], MAXINT): the cost of
-    # "go first to j" from node i — statement 10's broadcast + sat_add.
+    # "go first to j" from node i — statement 10's broadcast + sat_add,
+    # over lanes-outer state (the batched loop keeps it lane-minor).
+    sow = np.ascontiguousarray(sow)
     cand = np.minimum(sow[..., None, :] + W, maxint)
     return cand.min(axis=-1), cand.argmin(axis=-1)
 

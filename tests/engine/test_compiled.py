@@ -10,6 +10,11 @@ of the packed-key word limit, word widths and lane counts. Explicit cases
 pin tie-heavy graphs, empty rows, warm seeds and per-lane stacks, and
 sweep the dense tiles' block size (including degenerate 1-row tiles) to
 pin the cross-tile argmin tie-break; each states which kernel it runs.
+The jagged kernel, which serves edge-list calls from
+``LANE_MINOR_MIN_LANES`` lanes, is checked against the whole-array kernel
+directly, re-runs the kernel-choice cases with the threshold at 1, and
+meets the CSR list on both sides of its int32 key width and on an
+``n = 512`` shard.
 """
 
 import math
@@ -23,6 +28,7 @@ from repro.core import all_pairs_minimum_cost, minimum_cost_path
 from repro.core.batched import batched_minimum_cost_path
 from repro.engine import (
     EDGE_LIST_MAX_DENSITY,
+    LANE_MINOR_MIN_LANES,
     blocked_relax,
     compiled_kernel_info,
     edge_list,
@@ -30,11 +36,18 @@ from repro.engine import (
     lane_block,
     row_block,
 )
-from repro.engine.compiled import _relax_numpy_blocked
+from repro.engine.compiled import (
+    PreparedPlane,
+    _relax_numpy_blocked,
+    jagged_layout,
+    jagged_relax,
+    relax_kernel,
+)
 from repro.engine.fused import _relax
 from repro.errors import GraphError
 from repro.ppa import PPAConfig, PPAMachine
 from repro.serve.delta import apply_edge_delta, certify_warm_plane
+from repro.workloads.generators import gnp_digraph
 
 from tests.engine.test_differential import batched_case, graph_case
 
@@ -75,6 +88,22 @@ def _assert_batched_equal(ref, res, context):
         ), f"{context}: {name}"
 
 
+def spy_jagged(monkeypatch, threshold=None) -> list:
+    """Record the key dtype of every jagged-kernel round, after setting
+    the lane threshold to *threshold* when given."""
+    if threshold is not None:
+        monkeypatch.setattr(compiled, "LANE_MINOR_MIN_LANES", threshold)
+    seen = []
+    relax = compiled.jagged_relax
+
+    def spy(sow, layout, maxint):
+        seen.append(layout.dtype)
+        return relax(sow, layout, maxint)
+
+    monkeypatch.setattr(compiled, "jagged_relax", spy)
+    return seen
+
+
 def _sparse(n, rng, density, maxint, high=9):
     W = rng.integers(1, high, size=(n, n)).astype(np.int64)
     W[rng.random((n, n)) >= density] = maxint
@@ -106,8 +135,9 @@ class TestSerialEquivalence:
         ref = minimum_cost_path(
             PPAMachine(PPAConfig(n=n, word_bits=16)), W, 3, engine="fused"
         )
-        for block in ("1", "2", "5", "16", "1000"):
-            monkeypatch.setenv("REPRO_COMPILED_BLOCK", block)
+        for block in (1, 2, 5, 16, 1000):
+            monkeypatch.setattr(compiled, "row_block",
+                                lambda batch, n, rows=block: min(rows, n))
             res = minimum_cost_path(
                 PPAMachine(PPAConfig(n=n, word_bits=16)), W, 3,
                 engine="compiled",
@@ -121,7 +151,7 @@ class TestSerialEquivalence:
         must keep numpy's first-occurrence (smallest-index) winner. Every
         non-edge of the sparse version is a costly finite edge here, so
         the plane is complete and runs on the dense tiles."""
-        monkeypatch.setenv("REPRO_COMPILED_BLOCK", "1")
+        monkeypatch.setattr(compiled, "row_block", lambda batch, n: 1)
         W = np.full((4, 4), 100, dtype=np.int64)
         np.fill_diagonal(W, 0)
         W[3, 1] = 2
@@ -292,6 +322,86 @@ class TestKernelChoice:
                     assert warm.iterations == cold.iterations, (trial, d)
 
 
+class TestKernelChoiceLaneMinor(TestKernelChoice):
+    """The same cases with the lane threshold at 1, so every edge-list
+    call — one-lane serial runs included — relaxes on the jagged kernel."""
+
+    @pytest.fixture(autouse=True)
+    def lane_minor(self, monkeypatch, request):
+        seen = spy_jagged(monkeypatch, threshold=1)
+        yield
+        callspec = getattr(request.node, "callspec", None)
+        dense = callspec is not None and callspec.params["kernel"] == "dense"
+        assert bool(seen) != dense
+
+
+class TestLaneMinor:
+    """The jagged kernel at its real threshold, against the CSR list (the
+    threshold raised past the lane count) and ``fused``, on every ledger."""
+
+    @pytest.mark.parametrize("word_bits, dtype", [
+        (24, np.int32),  # 24 + 1 + 6 == 31: the widest int32 key
+        (25, np.int64),
+    ])
+    def test_key_width_edge(self, word_bits, dtype, monkeypatch):
+        """A 64-lane APSP at n = 64 (6 column bits). Weights near the
+        headroom limit and unreached MAXINT state fill the high bits."""
+        n = 64
+        maxint = (1 << word_bits) - 1
+        rng = np.random.default_rng(word_bits)
+        big = maxint // n
+        W = rng.integers(big // 2, big, size=(n, n)).astype(np.int64)
+        W[rng.random((n, n)) >= 0.08] = maxint
+        W[5] = maxint  # vertex 5 reaches nothing: its lanes stay MAXINT
+        np.fill_diagonal(W, 0)
+        assert _kernel(W, word_bits) == "edge-list"
+
+        def sweep(engine):
+            return all_pairs_minimum_cost(
+                PPAMachine(PPAConfig(n=n, word_bits=word_bits)), W,
+                engine=engine,
+            )
+
+        seen = spy_jagged(monkeypatch)
+        jagged = sweep("compiled")
+        assert seen and set(seen) == {np.dtype(dtype)}
+        monkeypatch.setattr(compiled, "LANE_MINOR_MIN_LANES", n + 1)
+        runs = {"csr": sweep("compiled"), "fused": sweep("fused")}
+        assert len(seen) == jagged.iterations.max()
+        assert (jagged.dist == maxint).any()
+        for name, ref in runs.items():
+            assert np.array_equal(ref.dist, jagged.dist), name
+            assert np.array_equal(ref.succ, jagged.succ), name
+            assert np.array_equal(ref.iterations, jagged.iterations), name
+            assert ref.counters == jagged.counters, name
+            assert ref.machine_counters == jagged.machine_counters, name
+            for ledger, plane in ref.lane_counters.items():
+                assert np.array_equal(plane, jagged.lane_counters[ledger]), (
+                    name, ledger)
+
+    def test_n512_sweep_matches_csr(self, monkeypatch):
+        """A 256-lane shard of an n = 512 APSP on a degree-16 graph, raw
+        and prepared, equals the CSR list's sweep lane for lane."""
+        n, lanes = 512, 256
+        config = PPAConfig(n=n, word_bits=16)
+        W = gnp_digraph(n, 16 / n, seed=1, inf_value=config.maxint)
+        dests = np.arange(0, n, n // lanes)
+        seen = spy_jagged(monkeypatch)
+        prepared = PreparedPlane(W, PPAMachine(config))
+        jagged = [
+            batched_minimum_cost_path(PPAMachine(config, batch=lanes), plane,
+                                      dests, engine="compiled")
+            for plane in (W, prepared)
+        ]
+        assert seen and set(seen) == {np.dtype(np.int32)}
+        monkeypatch.setattr(compiled, "LANE_MINOR_MIN_LANES", lanes + 1)
+        csr = batched_minimum_cost_path(PPAMachine(config, batch=lanes), W,
+                                        dests, engine="compiled")
+        assert len(seen) == 2 * csr.iterations.max()
+        for res in jagged:
+            _assert_batched_equal(csr, res, "jagged vs csr")
+
+
 class TestBatchedEquivalence:
     @given(batched_case())
     @settings(max_examples=40)
@@ -406,6 +516,93 @@ class TestKernel:
         assert np.array_equal(ref[0], got[0])
         assert np.array_equal(ref[1], got[1])
 
+    @given(st.integers(1, 2 * compiled.LANE_MINOR_MIN_LANES),
+           st.integers(2, 12), st.sampled_from([12, 27, 28]),
+           st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_jagged_matches_whole_array(self, B, n, word_bits, density, seed):
+        """Lanes on both sides of the threshold, both key widths (27 bits
+        packs int32 keys up to n = 8), any density, saturating sums,
+        unreached MAXINT state and empty rows; lane-minor and lanes-outer
+        state alike, and ``(n,)`` state as one lane."""
+        rng = np.random.default_rng(seed)
+        maxint = (1 << word_bits) - 1
+        sow = rng.integers(0, maxint + 1, size=(B, n)).astype(np.int64)
+        sow[rng.random((B, n)) < 0.3] = maxint
+        W = rng.integers(0, maxint, size=(n, n)).astype(np.int64)
+        W[rng.random((n, n)) >= density] = maxint
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiled, "EDGE_LIST_MAX_DENSITY", 2.0)
+            edges = edge_list(W, maxint)
+        layout = jagged_layout(edges, n, maxint)
+        event(f"{layout.dtype} keys")
+        ref = _relax(sow, W, maxint)
+        for state in (np.asfortranarray(sow), sow):
+            got = jagged_relax(state, layout, maxint)
+            assert np.array_equal(ref[0], got[0])
+            assert np.array_equal(ref[1], got[1])
+        got = jagged_relax(sow[0], layout, maxint)
+        assert np.array_equal(ref[0][0], got[0])
+        assert np.array_equal(ref[1][0], got[1])
+
+    def test_jagged_layout(self):
+        """Rows ordered by entry count (ties by index); slot k holds the
+        k-th entry of every row with more than k; empty rows point at
+        the spare saturated row; key width from the configuration."""
+        maxint = 255
+        W = np.full((5, 5), maxint, dtype=np.int64)
+        W[0, 3], W[0, 1], W[2, 2], W[2, 4], W[2, 0], W[4, 1] = 7, 5, 0, 1, 3, 2
+        layout = jagged_layout(edge_list(W, maxint), 5, maxint)
+        assert layout.rows == 3
+        assert layout.position.tolist() == [1, 3, 0, 3, 2]
+        assert [cols.tolist() for cols, _ in layout.slots] == [
+            [0, 1, 1], [2, 3], [4]]
+        assert [(keys[:, 0] >> 3).tolist() for _, keys in layout.slots] == [
+            [3, 5, 2], [0, 7], [1]]
+        assert layout.dtype == np.int32  # 8 + 1 + 3 bits; 28 + 1 + 3 below
+        wide = (1 << 28) - 1
+        W[W == maxint] = wide
+        assert jagged_layout(edge_list(W, wide), 5, wide).dtype == np.int64
+        empty = jagged_layout(edge_list(np.full((3, 3), maxint), maxint), 3,
+                              maxint)
+        assert empty.slots == () and empty.position.tolist() == [0, 0, 0]
+
+    def test_lane_threshold_picks_the_kernel(self, monkeypatch):
+        """An edge-list call runs the jagged kernel from
+        LANE_MINOR_MIN_LANES lanes and the CSR list below; the layout is
+        derived once per call."""
+        calls = []
+
+        def recording(name):
+            inner = getattr(compiled, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+
+            return wrapper
+
+        for name in ("edge_relax", "jagged_relax", "jagged_layout"):
+            monkeypatch.setattr(compiled, name, recording(name))
+        rng = np.random.default_rng(4)
+        maxint = (1 << 16) - 1
+        n, lanes = 16, compiled.LANE_MINOR_MIN_LANES
+        W = _sparse(n, rng, 0.2, maxint)
+        for B, expected in (
+            (lanes - 1, ["edge_relax"] * 2),
+            (lanes, ["jagged_layout"] + ["jagged_relax"] * 2),
+        ):
+            relax = relax_kernel()
+            sow = np.asfortranarray(
+                rng.integers(0, 50, size=(B, n)).astype(np.int64))
+            for _ in range(2):
+                got = relax(sow, W, maxint)
+                ref = _relax(sow, W, maxint)
+                assert np.array_equal(ref[0], got[0])
+                assert np.array_equal(ref[1], got[1])
+            assert calls == expected
+            calls.clear()
+
     def test_lane_chunks_are_bit_identical(self, monkeypatch):
         """A tiny byte budget splits lanes into many chunks on both
         kernels, per-lane stacks included."""
@@ -492,8 +689,7 @@ class TestKernel:
         W.flat[at - 1] = maxint
         assert edge_list(W, maxint) is not None
 
-    def test_row_block_sizing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_BLOCK", raising=False)
+    def test_row_block_sizing(self):
         assert row_block(1, 16) == 16  # capped at n
         assert row_block(1, 1024) == 128  # 1 MiB / (1024 * 8)
         assert row_block(64, 4096) >= 16  # floored
@@ -503,12 +699,11 @@ class TestKernel:
             assert tile <= 1 << 20 or lane_block(batch, n) == 1
         assert lane_block(256, 512) == 16  # 16 lanes x 16 rows x 512
         assert lane_block(1, 1024) == 1
-        monkeypatch.setenv("REPRO_COMPILED_BLOCK", "40")
-        assert row_block(1, 1024) == 40
-        assert row_block(1, 8) == 8  # override still capped at n
 
     def test_kernel_info_reports_backend(self):
         info = compiled_kernel_info()
         assert info["backend"] == "numpy"
         assert info["edge_list_max_density"] == EDGE_LIST_MAX_DENSITY
+        assert info["lane_minor_min_lanes"] == LANE_MINOR_MIN_LANES == 64
+        assert info["narrow_key_max_bits"] == 31
         assert info["block_target_bytes"] == 1 << 20

@@ -7,7 +7,7 @@ iteration counts, the scalar counter book and every lane ledger stay bit
 for bit those of the raw-array call, on both compiled kernels and on
 either side of the packed key's 63-bit limit. The analytic loop replays
 its counters once per call, so a run that fails to converge must still
-charge exactly the rounds it ran.
+charge exactly the rounds it ran, on the jagged kernel too.
 """
 
 import numpy as np
@@ -21,6 +21,8 @@ from repro.engine import edge_list
 from repro.engine.compiled import PreparedPlane
 from repro.errors import GraphError, MaskError
 from repro.ppa import PPAConfig, PPAMachine
+
+from tests.engine.test_compiled import spy_jagged
 
 
 def _machine(n, word_bits, batch=None):
@@ -205,3 +207,14 @@ class TestReplayOnFailure:
         assert books["compiled"][0] == books["cycle"][0]
         for name, lanes in books["cycle"][1].items():
             assert np.array_equal(books["compiled"][1][name], lanes), name
+
+
+class TestReplayOnFailureLaneMinor(TestReplayOnFailure):
+    """The same failures with the lane threshold at 1, so the compiled
+    runs relax on the jagged kernel."""
+
+    @pytest.fixture(autouse=True)
+    def lane_minor(self, monkeypatch):
+        seen = spy_jagged(monkeypatch, threshold=1)
+        yield
+        assert seen
