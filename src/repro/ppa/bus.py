@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ppa.directions import Direction
+from repro.ppa.segments import RowBits
 
 __all__ = ["BusTransaction", "BusTrace", "max_cluster_span_bound"]
 
@@ -97,13 +98,15 @@ class BusTrace:
         self,
         kind: str,
         direction: Direction | None,
-        open_plane: np.ndarray | None,
+        open_plane: np.ndarray | RowBits | None,
     ) -> None:
         if not self.enabled:
             return
         if open_plane is None:
             self._records.append(BusTransaction(kind, direction, 0, 0))
             return
+        if isinstance(open_plane, RowBits):
+            open_plane = open_plane.unpack()
         open_plane = np.asarray(open_plane, dtype=bool)
         opens = int(open_plane.sum())
         axis = direction.axis if direction is not None else 1

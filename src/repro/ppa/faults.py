@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.ppa.segments import RowBits
 
 __all__ = [
     "FaultKind",
@@ -318,17 +319,22 @@ class FaultPlan:
         return self._apply_stuck(open_plane, axis, self.faults)
 
     @staticmethod
-    def _apply_stuck(open_plane: np.ndarray, axis: int, stuck) -> np.ndarray:
+    def _apply_stuck(open_plane, axis: int, stuck):
         active = [f for f in stuck if f.affects_axis(axis)]
         if not active:
             return open_plane
         out = open_plane.copy()
         for f in active:
-            out[..., f.row, f.col] = f.kind is FaultKind.STUCK_OPEN
+            stuck_open = f.kind is FaultKind.STUCK_OPEN
+            if isinstance(out, RowBits):
+                out.set_pe(f.row, f.col, stuck_open)
+            else:
+                out[..., f.row, f.col] = stuck_open
         return out
 
-    def effective_plane(self, open_plane: np.ndarray, axis: int) -> np.ndarray:
-        """Effective switch plane for **one bus transaction**.
+    def effective_plane(self, open_plane, axis: int):
+        """Effective switch plane for **one bus transaction** (a bool plane
+        or a packed :class:`~repro.ppa.segments.RowBits` one).
 
         Applies every permanent fault plus the intermittent faults whose
         activation draw fires for this transaction. Exactly one RNG draw
@@ -346,19 +352,18 @@ class FaultPlan:
             )
         return self._apply_stuck(open_plane, axis, stuck)
 
-    def corrupt(
-        self, values: np.ndarray, axis: int, *, width: int
-    ) -> np.ndarray:
+    def corrupt(self, values, axis: int, *, width: int):
         """Apply this transaction's transient bit-flips to *values*.
 
         *values* is the array of received words (``(n, n)`` or a batched
         ``(B, n, n)`` stack — a flip at a physical PE hits every lane, as
-        with stuck-ats); *width* is the operand width of the transfer
-        (1 for boolean wired-OR traffic, the machine word otherwise).
-        Flips at ``bit >= width`` have no lane to hit and are skipped.
-        One RNG draw is consumed per transient fault per call, in list
-        order, regardless of *axis*. Returns *values* unchanged (no copy)
-        when nothing fires.
+        with stuck-ats), or a packed 1-bit
+        :class:`~repro.ppa.segments.RowBits` plane; *width* is the operand
+        width of the transfer (1 for boolean wired-OR traffic, the machine
+        word otherwise). Flips at ``bit >= width`` have no lane to hit and
+        are skipped. One RNG draw is consumed per transient fault per
+        call, in list order, regardless of *axis*. Returns *values*
+        unchanged (no copy) when nothing fires.
         """
         if not self.transients:
             return values
@@ -370,6 +375,11 @@ class FaultPlan:
         ]
         if not active:
             return values
+        if isinstance(values, RowBits):  # width 1: bit 0 only
+            bits = values.copy()
+            for f in active:
+                bits.flip_pe(f.row, f.col)
+            return bits
         out = np.array(values, copy=True)
         for f in active:
             if out.dtype == np.bool_:

@@ -54,6 +54,7 @@ from repro.ppa.directions import Direction
 from repro.ppa.memory import ParallelMemory
 from repro.ppa.segments import (
     ReduceOp,
+    RowBits,
     broadcast_values,
     segmented_reduce,
     shift_values,
@@ -116,6 +117,8 @@ def check_broadcast_conflicts(src, plane, direction: Direction) -> None:
     src_a = np.asarray(src)
     if src_a.dtype == np.bool_:
         src_a = src_a.astype(np.int64)
+    if isinstance(plane, RowBits):
+        plane = plane.unpack()
     vals, opens = np.broadcast_arrays(src_a, np.asarray(plane, dtype=bool))
     if direction.axis == 0:
         # Rings run along axis 0 (columns); canonicalise onto last axis.
@@ -382,23 +385,38 @@ class PPAMachine:
     # Bus primitives
     # ------------------------------------------------------------------
 
-    def broadcast(self, src, direction: Direction, L) -> np.ndarray:
+    def broadcast(
+        self, src, direction: Direction, L, *, receivers=None
+    ) -> np.ndarray:
         """One bus broadcast: every PE receives the value injected by its
         cluster head — the nearest Open node (per *L*) at-or-upstream on its
         ring, itself included when its own switch is Open.
 
         ``L`` follows the PPC convention: ``True``/1 means Open.
+
+        *receivers* (a switch plane) models a ``where (receivers)`` latch
+        on the result, as in statement 12 of the paper's ``min()``: only
+        the PEs it marks are resolved and take the bus value; every other
+        PE holds its own ``src``. Transient flips land at receivers only.
+        ``L`` may then be a packed :class:`~repro.ppa.segments.RowBits`
+        plane.
         """
-        plane = self._effective_plane(
-            as_switch_plane(L, self.shape, lanes=self.batch), direction
+        plane = L if isinstance(L, RowBits) else as_switch_plane(
+            L, self.shape, lanes=self.batch
         )
+        plane = self._effective_plane(plane, direction)
         src = np.asarray(src)
         if self.check_bus_conflicts:
             check_broadcast_conflicts(src, plane, direction)
+        if receivers is not None:
+            receivers = as_switch_plane(
+                receivers, self.shape, lanes=self.batch
+            )
         out = broadcast_values(
             src,
             plane,
             direction,
+            receivers=receivers,
             strict=self.config.strict_bus,
             stats=self.counters.plan_cache,
         )
@@ -410,7 +428,7 @@ class PPAMachine:
             bit_cycles=cycles * self._operand_bits(src),
         )
         self.trace.record("broadcast", direction, plane)
-        return self._corrupt(out, direction)
+        return self._corrupt(out, direction, where=receivers)
 
     def bus_reduce(
         self,
@@ -420,19 +438,22 @@ class PPAMachine:
         op: ReduceOp,
         *,
         bits: int | None = None,
-    ) -> np.ndarray:
+    ):
         """Cluster-wide reduction delivered to every cluster member.
 
         Models the constant-time wired-OR of the reconfigurable bus (and its
         AND/min/max/sum generalisations used by ablation variants). ``bits``
         overrides the width charged to ``bit_cycles`` — e.g. the
         digit-serial minimum drives ``2**k - 1`` presence lanes per
-        transaction instead of a full word.
+        transaction instead of a full word. *values* may be a packed
+        :class:`~repro.ppa.segments.RowBits` plane for ``op="or"`` (see
+        :meth:`bus_or`).
         """
         plane = self._effective_plane(
             as_switch_plane(L, self.shape, lanes=self.batch), direction
         )
-        values = np.asarray(values)
+        if not isinstance(values, RowBits):
+            values = np.asarray(values)
         out = segmented_reduce(
             values,
             plane,
@@ -452,12 +473,16 @@ class PPAMachine:
         self.trace.record("reduce", direction, plane)
         return self._corrupt(out, direction)
 
-    def bus_or(self, bits, direction: Direction, L) -> np.ndarray:
-        """Wired-OR of 1-bit values within each cluster (boolean result)."""
-        bits = np.asarray(bits, dtype=bool)
-        return self.bus_reduce(bits, direction, L, "or").astype(
-            bool, copy=False
-        )
+    def bus_or(self, bits, direction: Direction, L):
+        """Wired-OR of 1-bit values within each cluster.
+
+        Resolves on a row-packed :class:`~repro.ppa.segments.RowBits`
+        plane and returns a fresh one; a bool plane is packed on entry
+        and the result unpacked to bool on return.
+        """
+        if isinstance(bits, RowBits):
+            return self.bus_reduce(bits, direction, L, "or")
+        return self.bus_reduce(RowBits.pack(bits), direction, L, "or").unpack()
 
     def shift(
         self, src, direction: Direction, *, fill=0, torus: bool | None = None
@@ -521,10 +546,13 @@ class PPAMachine:
     # Word arithmetic
     # ------------------------------------------------------------------
 
-    def _operand_bits(self, arr: np.ndarray) -> int:
-        """Width of one bus transfer: 1 for boolean planes (the bit-serial
-        wired-OR case), the machine word otherwise."""
-        return 1 if arr.dtype == np.bool_ else self.word_bits
+    def _operand_bits(self, arr) -> int:
+        """Width of one bus transfer: 1 for boolean and packed 1-bit
+        planes (the bit-serial wired-OR case), the machine word
+        otherwise."""
+        if isinstance(arr, RowBits) or arr.dtype == np.bool_:
+            return 1
+        return self.word_bits
 
     def count_alu(self, k: int = 1) -> None:
         """Charge *k* local (per-PE, fully parallel) ALU instructions."""
@@ -611,20 +639,26 @@ class PPAMachine:
     def fault_plan(self) -> FaultPlan | None:
         return self._faults
 
-    def _effective_plane(self, plane: np.ndarray, direction: Direction) -> np.ndarray:
+    def _effective_plane(self, plane, direction: Direction):
         if self._faults is None:
             return plane
         return self._faults.effective_plane(plane, direction.axis)
 
-    def _corrupt(self, out: np.ndarray, direction: Direction) -> np.ndarray:
+    def _corrupt(self, out, direction: Direction, *, where=None):
         """Apply this transaction's transient bit-flips (if any) to the
-        received values. Width is the operand width actually driven on the
-        bus, so flips above a 1-bit wired-OR transfer are no-ops."""
+        received values — only where *where* is set, when given. Width is
+        the operand width actually driven on the bus, so flips above a
+        1-bit wired-OR transfer are no-ops."""
         if self._faults is None:
             return out
-        return self._faults.corrupt(
+        hit = self._faults.corrupt(
             out, direction.axis, width=self._operand_bits(out)
         )
+        if where is not None and hit is not out:
+            for f in self._faults.transients:  # corrupt() left out intact
+                pe = (..., f.row, f.col)
+                hit[pe] = np.where(where[pe], hit[pe], out[pe])
+        return hit
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lanes = "" if self.batch is None else f", batch={self.batch}"

@@ -50,7 +50,8 @@ class ParallelMemory:
         if init is None:
             arr = np.zeros(self._shape, dtype=dtype)
         else:
-            arr = np.array(np.broadcast_to(init, self._shape), dtype=dtype)
+            arr = np.array(np.broadcast_to(init, self._shape), dtype=dtype,
+                           order="C")
         self._vars[name] = arr
         self._kinds[name] = kind
         return arr

@@ -46,6 +46,25 @@ planes are mostly data-dependent. Its Open count picks the method: a
 broadcast with as many Opens as rings checks for one Open per ring;
 everything else takes the segment fill.
 
+**1-bit planes are packed.** A wired-OR moves one bit per PE, so its
+operand and result are :class:`RowBits`: the plane packed along rows into
+the widest unsigned word that tiles a row, PE ``p`` as bit ``p``. A
+ring-wise shared plan resolves on the words — a row ring ORs its row's
+words into one flag and delivers all-ones or all-zeros words, a column
+ring ORs the words over the rows — so a step of the bit-serial ``min()``
+is a few word operations on ``(B, n, n / 64)`` words. A segmented plan or
+a per-lane stack unpacks into the segment fill and repacks. A bool
+wired-OR packs on entry, so there is one 1-bit wired-OR.
+
+**Receiver-only broadcasts.** ``broadcast_values(..., receivers=R)``
+resolves ``where (R) x = broadcast(src, direction, D)`` at the PEs of
+``R`` only, as the paper's ``min()`` does in statement 12: its receivers
+are the few cluster heads of ``L``, its Open nodes the data-dependent
+survivors of the elimination. Each receiver reads its nearest Open node
+from its ring's packed words: mask the words at or upstream of it, take
+the nearest set bit, and wrap to the ring's far end when none is set.
+Every other PE keeps ``src``; no plan is cached.
+
 Canonical layout
 ----------------
 Runs are derived in a canonical orientation: rings live on the *last* axis
@@ -59,6 +78,7 @@ layout.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -68,6 +88,7 @@ from repro.ppa.counters import PlanCacheStats
 from repro.ppa.directions import Direction
 
 __all__ = [
+    "RowBits",
     "broadcast_values",
     "segmented_reduce",
     "shift_values",
@@ -197,6 +218,85 @@ def _first_bad(undriven: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Row-packed 1-bit planes
+# ---------------------------------------------------------------------------
+
+
+def _row_word(row_bytes: int) -> np.dtype:
+    """The widest unsigned word that tiles a packed row of *row_bytes*."""
+    for size in (8, 4, 2):
+        if row_bytes % size == 0:
+            return np.dtype(f"<u{size}")
+    return np.dtype(np.uint8)
+
+
+class RowBits:
+    """A 1-bit plane packed along rows into machine words.
+
+    ``words[..., r, k]`` holds PEs ``k*b .. k*b + b - 1`` of row ``r``,
+    PE ``p`` as bit ``p % b`` (``b`` the word's width, the widest that
+    tiles a row of ``ceil(n / 8)`` bytes). Bits past the row's ``n`` PEs
+    are padding: zero, and read by nothing. Leading axes are lanes, as on
+    a bool plane.
+    """
+
+    __slots__ = ("words", "n")
+
+    def __init__(self, words: np.ndarray, n: int):
+        self.words = words
+        self.n = n
+
+    @classmethod
+    def pack(cls, plane) -> "RowBits":
+        """Pack a bool plane (any layout) along its rows."""
+        plane = np.asarray(plane, dtype=bool)
+        n = plane.shape[-1]
+        if n % 8 == 0 and plane.flags.c_contiguous:
+            # One flat pass: every row is a whole number of bytes.
+            packed = np.packbits(plane.reshape(-1), bitorder="little")
+        else:  # keeps the plane's layout: make the rows contiguous
+            packed = np.ascontiguousarray(
+                np.packbits(plane, axis=-1, bitorder="little")
+            )
+        word = _row_word(-(-n // 8))
+        return cls(packed.view(word).reshape(*plane.shape[:-1], -1), n)
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of the bool plane this packs."""
+        return (*self.words.shape[:-1], self.n)
+
+    def unpack(self) -> np.ndarray:
+        """The bool plane, fresh and C-contiguous."""
+        raw = self.words.view(np.uint8)
+        if self.n % 8 == 0:
+            bits = np.unpackbits(raw.reshape(-1), bitorder="little")
+            return bits.view(bool).reshape(self.shape)
+        bits = np.unpackbits(raw, axis=-1, count=self.n, bitorder="little")
+        return bits.view(bool)
+
+    def copy(self) -> "RowBits":
+        return RowBits(self.words.copy(), self.n)
+
+    def _pe(self, row: int, col: int) -> tuple:
+        width = 8 * self.words.itemsize
+        return (..., row, col // width), self.words.dtype.type(1 << col % width)
+
+    def set_pe(self, row: int, col: int, value: bool) -> None:
+        """Set PE ``(row, col)`` to *value* in every lane."""
+        at, bit = self._pe(row, col)
+        if value:
+            self.words[at] |= bit
+        else:
+            self.words[at] &= ~bit
+
+    def flip_pe(self, row: int, col: int) -> None:
+        """Invert PE ``(row, col)`` in every lane."""
+        at, bit = self._pe(row, col)
+        self.words[at] ^= bit
+
+
+# ---------------------------------------------------------------------------
 # Whole-ring clusters: one gather or one reduce along the raw ring axis
 # ---------------------------------------------------------------------------
 
@@ -222,43 +322,55 @@ def _deliver_rings(vals: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
     return np.repeat(np.expand_dims(vals, axis), shape[axis], axis=axis)
 
 
-#: A boolean wired-OR (AND) along rows packs each row into bits and folds
-#: the row's words: on bits a word-wise OR (AND) is the PE-wise max (min).
-_WORD_FOLDS = {np.maximum: np.bitwise_or, np.minimum: np.bitwise_and}
+@lru_cache(maxsize=16)
+def _valid_bits(n: int, word: np.dtype) -> np.ndarray | None:
+    """Per-word masks of a packed row's real PEs, or None without padding."""
+    if n % 8 == 0:
+        return None
+    width = 8 * word.itemsize
+    count = -(-n // width)
+    valid = np.full(count, np.iinfo(word).max, dtype=word)
+    valid[-1] >>= width * count - n
+    valid.flags.writeable = False
+    return valid
 
 
-def _row_word(row_bytes: int) -> np.dtype:
-    """The widest unsigned word that tiles a packed row of *row_bytes*."""
-    for size in (8, 4, 2):
-        if row_bytes % size == 0:
-            return np.dtype(f"u{size}")
-    return np.dtype(np.uint8)
+def _or_rings(bits: RowBits, axis: int) -> RowBits:
+    """Wired-OR of every ring of a packed plane (each ring one cluster),
+    delivered to all of its PEs.
+
+    A row ring ORs its row's words into one flag and delivers all-ones or
+    all-zeros words; a column ring ORs the words over the rows.
+    """
+    w = bits.words
+    if axis == -2:
+        out = np.bitwise_or.reduce(w, axis=-2)
+        return RowBits(np.repeat(out[..., None, :], w.shape[-2], axis=-2),
+                       bits.n)
+    # numpy's reduce along a short last axis pays per row: fold the
+    # row's word columns instead.
+    acc = w[..., 0]
+    if w.shape[-1] > 1:
+        acc = acc.copy()
+        for k in range(1, w.shape[-1]):
+            np.bitwise_or(acc, w[..., k], out=acc)
+    flag = (acc != 0).astype(w.dtype)
+    np.negative(flag, out=flag)  # 1 -> all ones
+    out = flag[..., None]
+    if w.shape[-1] > 1:
+        out = np.repeat(out, w.shape[-1], axis=-1)
+    valid = _valid_bits(bits.n, w.dtype)
+    if valid is not None:
+        out &= valid
+    return RowBits(out, bits.n)
 
 
 def _reduce_rings(v: np.ndarray, ufunc, axis: int) -> np.ndarray:
     """Reduce every ring along the raw ring *axis* (each ring one cluster)
     and deliver the result to all of its PEs."""
-    fold = _WORD_FOLDS.get(ufunc)
-    n = v.shape[-1]
-    if (axis == -1 and fold is not None and v.dtype == np.bool_
-            and n % 8 == 0 and v.flags.c_contiguous):
-        # numpy's row-wise reduce pays per row; pack the rows into bits
-        # (one pass) and fold each row's word columns instead.
-        word = _row_word(n // 8)
-        words = np.packbits(v.reshape(-1)).view(word)
-        words = words.reshape(*v.shape[:-1], -1)
-        acc = words[..., 0]
-        if words.shape[-1] > 1:
-            acc = acc.copy()
-            for k in range(1, words.shape[-1]):
-                fold(acc, words[..., k], out=acc)
-        if fold is np.bitwise_or:
-            red = acc != 0
-        else:
-            red = acc == np.iinfo(word).max
-    else:
-        red = ufunc.reduce(v, axis=axis)
-    return _deliver_rings(red, v.shape, axis)
+    if ufunc is np.maximum and v.dtype == np.bool_:
+        return _or_rings(RowBits.pack(v), axis).unpack()
+    return _deliver_rings(ufunc.reduce(v, axis=axis), v.shape, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +468,109 @@ def _stack_runs(o: np.ndarray, direction: Direction, strict: bool,
 
 
 # ---------------------------------------------------------------------------
+# Receiver-only broadcast: ``where (R) x = broadcast(src, direction, D)``
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _upstream_masks(n: int, forward: bool) -> np.ndarray:
+    """Packed ``(n, words)`` masks: row ``p`` marks ring positions at or
+    upstream of ``p`` (at or below it when downstream is +1)."""
+    tri = np.tri(n, dtype=bool)
+    masks = RowBits.pack(tri if forward else tri.T).words
+    masks.flags.writeable = False
+    return masks
+
+
+def _high_bit(x: np.ndarray) -> np.ndarray:
+    """Index of each word's highest set bit (-1 for a zero word).
+
+    ``frexp`` is exact on words of up to 32 bits; 64-bit words are read
+    as their two 32-bit halves.
+    """
+    if x.dtype.itemsize < 8:
+        return np.frexp(x.astype(np.float64))[1] - 1
+    halves = np.ascontiguousarray(x).view("<u4").astype(np.float64)
+    e = np.frexp(halves)[1]
+    lo, hi = e[..., 0::2], e[..., 1::2]
+    return np.where(hi > 0, hi + 31, lo - 1)
+
+
+def _nearest_open(words: np.ndarray, pos: np.ndarray,
+                    n: int, forward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ring position of the nearest set bit at-or-upstream of each
+    receiver, cyclically, and whether its ring holds one at all.
+
+    *words* are the receivers' ring words (``(..., words)``) and *pos*
+    their positions on the ring, counted from the ring's start; the two
+    broadcast against each other. An empty ring's position reads -1 or
+    another in-ring index; callers drop it.
+    """
+    near = words & _upstream_masks(n, forward)[pos]
+    pick = np.where((near != 0).any(axis=-1, keepdims=True), near, words)
+    if pick.shape[-1] == 1:
+        k, word = 0, pick[..., 0]
+    else:
+        nz = pick != 0
+        if forward:  # the last nonzero word
+            k = nz.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
+        else:  # the first one
+            k = np.argmax(nz, axis=-1)
+        word = np.take_along_axis(pick, k[..., None], axis=-1)[..., 0]
+    if not forward:  # its lowest set bit
+        word = word & np.negative(word)
+    return k * (8 * words.itemsize) + _high_bit(word), word != 0
+
+
+def _latch(s: np.ndarray, opens, receivers: np.ndarray,
+           direction: Direction, strict: bool,
+           stats: PlanCacheStats | None) -> np.ndarray:
+    """Receiver-only :func:`broadcast_values` (see there)."""
+    _record(stats, "broadcast", False)  # resolved for this call
+    if not isinstance(opens, RowBits):
+        opens = RowBits.pack(_switch_stack(opens))
+    rings = opens.words
+    if direction.axis == 0:  # column rings: pack along the columns
+        rings = RowBits.pack(opens.unpack().swapaxes(-1, -2)).words
+    if strict:
+        undriven = ~np.bitwise_or.reduce(rings, axis=-1).astype(bool)
+        if undriven.any():
+            bad = _first_bad(undriven)
+            where = (f"ring {bad}" if undriven.ndim == 1
+                     else "lane {} ring {}".format(*divmod(bad, rings.shape[-2])))
+            raise _undriven("broadcast", direction, where)
+    shape = np.broadcast_shapes(s.shape, opens.shape, receivers.shape)
+    out = np.empty(shape, dtype=s.dtype)
+    np.copyto(out, s)
+    n = shape[-1]
+    # The latching (lane, PE) pairs; a shared plane's receivers broadcast
+    # against a column of lanes.
+    if receivers.ndim == 3:
+        lane, pe = np.divmod(np.flatnonzero(receivers), n * n)
+    else:
+        pe = np.flatnonzero(receivers)
+        lane = np.arange(shape[0] if len(shape) == 3 else 1)[:, None]
+    row, col = np.divmod(pe, n)
+    ring, pos = (row, col) if direction.axis == 1 else (col, row)
+    if rings.ndim == receivers.ndim == 3:
+        words = rings[lane, ring]
+    else:
+        words = np.take(rings, ring, axis=-2)
+    head, found = _nearest_open(words, pos, n, direction.is_forward)
+    if direction.axis == 1:
+        col = head
+    else:
+        row = head
+    vals = s[lane, row, col] if s.ndim == 3 else s[row, col]
+    at = pe + lane * (n * n) if len(shape) == 3 else pe
+    if not found.all():  # receivers on undriven rings keep their values
+        at, vals, found = np.broadcast_arrays(at, vals, found)
+        at, vals = at[found], vals[found]
+    out.reshape(-1)[at] = vals
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Public kernels
 # ---------------------------------------------------------------------------
 
@@ -371,9 +586,10 @@ def _switch_stack(open_plane) -> np.ndarray:
 
 def broadcast_values(
     src: np.ndarray,
-    open_plane: np.ndarray,
+    open_plane: np.ndarray | RowBits,
     direction: Direction,
     *,
+    receivers: np.ndarray | None = None,
     strict: bool = False,
     stats: PlanCacheStats | None = None,
 ) -> np.ndarray:
@@ -390,10 +606,17 @@ def broadcast_values(
         ``(B, n, n)`` stack.
     direction
         Controller-selected data-movement direction.
+    receivers
+        Optional switch-shaped plane (shared or per-lane) of the PEs that
+        latch the bus: ``where (receivers) x = broadcast(src, ...)``.
+        Only they are resolved; every other PE keeps ``src``.
+        *open_plane* may then be a :class:`RowBits` plane. The call
+        consults no plan cache (one miss).
     strict
         If True, a ring with no Open switch raises :class:`BusError`
-        (an un-driven bus). If False, such rings keep their ``src`` values
-        unchanged (the PE latches its own register).
+        (an un-driven bus), whether or not it holds a receiver. If False,
+        such rings keep their ``src`` values unchanged (the PE latches its
+        own register).
     stats
         Optional per-machine :class:`PlanCacheStats` sink; hit/miss is
         recorded there *and* in the module-wide counters, once per call.
@@ -401,13 +624,17 @@ def broadcast_values(
     Returns
     -------
     numpy.ndarray
-        ``received[p] = src[head(p)]`` for every PE ``p``, where ``head(p)``
-        is the nearest Open node at-or-upstream of ``p`` on its ring
-        (cyclic) — i.e. the extreme node of the cluster ``p`` belongs to.
-        Shape is the broadcast of *src* and *open_plane* shapes; always a
-        fresh, writable array.
+        ``received[p] = src[head(p)]`` for every PE ``p`` (every receiver,
+        when *receivers* is given), where ``head(p)`` is the nearest Open
+        node at-or-upstream of ``p`` on its ring (cyclic) — i.e. the
+        extreme node of the cluster ``p`` belongs to. Shape is the
+        broadcast of the *src*, *open_plane* and *receivers* shapes;
+        always a fresh, writable, C-contiguous array.
     """
     s = np.asarray(src)
+    if receivers is not None:
+        return _latch(s, open_plane, _switch_stack(receivers), direction,
+                      strict, stats)
     o = _switch_stack(open_plane)
     axis = _ring_axis(direction)
     if o.ndim == 2:
@@ -437,14 +664,14 @@ def broadcast_values(
 
 
 def segmented_reduce(
-    values: np.ndarray,
+    values: np.ndarray | RowBits,
     open_plane: np.ndarray,
     direction: Direction,
     op: ReduceOp,
     *,
     strict: bool = False,
     stats: PlanCacheStats | None = None,
-) -> np.ndarray:
+) -> np.ndarray | RowBits:
     """Reduce *values* within each bus cluster; every member gets the result.
 
     A cluster is an Open node plus the Short nodes downstream of it up to the
@@ -458,11 +685,18 @@ def segmented_reduce(
     Rings with no Open switch raise :class:`BusError` when *strict*,
     otherwise every node of such a ring receives the reduction over the
     whole ring (a single de-facto cluster).
+
+    *values* may be a :class:`RowBits` plane for ``op="or"``, the wired-OR
+    of 1-bit registers; the result is then packed too. Ring-wise shared
+    plans resolve on its words; a segmented plan or a per-lane stack
+    unpacks into the segment fill and repacks.
     """
     if op not in _UFUNCS:
         raise ValueError(f"unknown reduction op {op!r}")
     ufunc = _UFUNCS[op]
-    v = np.asarray(values)
+    packed = isinstance(values, RowBits)
+    if packed and op != "or":
+        raise ValueError(f"a packed 1-bit plane reduces by 'or', not {op!r}")
     o = _switch_stack(open_plane)
     if o.ndim == 2:
         ring_wise, index, bad = _cached_plan(
@@ -471,15 +705,21 @@ def segmented_reduce(
         if strict and bad >= 0:
             raise _undriven("reduce", direction, f"ring {bad}")
         if ring_wise:
-            return _reduce_rings(v, ufunc, _ring_axis(direction))
+            axis = _ring_axis(direction)
+            if isinstance(values, RowBits):
+                return _or_rings(values, axis)
+            return _reduce_rings(np.asarray(values), ufunc, axis)
+        v = values.unpack() if isinstance(values, RowBits) else np.asarray(values)
         vc = _canonical(v, direction, v.shape)
         out = _fill_reduce(vc.reshape(-1, *vc.shape[-2:]), index, ufunc)
-        return _from_canonical(out.reshape(vc.shape), direction)
-    _record(stats, "reduce", False)
-    cl = _stack_runs(o, direction, strict, "reduce")
-    vc = _canonical(v, direction, o.shape)
-    out = _fill_reduce(vc.reshape(1, -1, vc.shape[-1]), cl, ufunc)
-    return _from_canonical(out.reshape(vc.shape), direction)
+    else:
+        _record(stats, "reduce", False)
+        cl = _stack_runs(o, direction, strict, "reduce")
+        v = values.unpack() if isinstance(values, RowBits) else np.asarray(values)
+        vc = _canonical(v, direction, o.shape)
+        out = _fill_reduce(vc.reshape(1, -1, vc.shape[-1]), cl, ufunc)
+    out = _from_canonical(out.reshape(vc.shape), direction)
+    return RowBits.pack(out) if packed else out
 
 
 def shift_values(

@@ -76,7 +76,8 @@ class ParallelInt(_ParallelBase):
     """A ``parallel int``: one machine word per PE."""
 
     def __init__(self, env: "PPCEnvironment", data):
-        data = np.array(np.broadcast_to(data, env.machine.shape), dtype=np.int64)
+        data = np.array(np.broadcast_to(data, env.machine.shape),
+                        dtype=np.int64, order="C")
         super().__init__(env, data)
 
     # -- arithmetic ----------------------------------------------------
@@ -157,7 +158,8 @@ class ParallelLogical(_ParallelBase):
     """A ``parallel logical``: one boolean flag per PE."""
 
     def __init__(self, env: "PPCEnvironment", data):
-        data = np.array(np.broadcast_to(data, env.machine.shape), dtype=bool)
+        data = np.array(np.broadcast_to(data, env.machine.shape),
+                        dtype=bool, order="C")
         super().__init__(env, data)
 
     def __and__(self, other: Operand):

@@ -13,6 +13,17 @@ Complexity: ``h`` wired-OR bus transactions plus 2 broadcasts — **O(h)**,
 as derived in the paper's Section 3. (The abstract's "log h" is an internal
 inconsistency of the paper; see DESIGN.md and experiment F3.)
 
+How the simulator runs it: the 1-bit registers of statements 8-10 (the
+``enable`` set, the wired-OR operand and each bit slice) stay packed along
+rows into machine words (:class:`~repro.ppa.segments.RowBits`), so a bit
+step is one ``bit()`` slice packed once plus a few word operations, and
+its wired-OR resolves on the words. Statement 12's
+``where (L) src = broadcast(src, opposite(orientation), enable)`` is one
+broadcast with ``receivers=L``: only the PEs of ``L`` latch, so only they
+are resolved, each reading its nearest survivor from the packed rows.
+Every transaction, charge, trace record and fault draw is the listing's,
+one for one.
+
 ``word_parallel_min`` is the A7 ablation: the same cluster minimum computed
 in a single transaction, as if each PE had a word-wide comparator on the
 bus. It is *not* in the paper; it quantifies what the bit-serial design
@@ -25,6 +36,7 @@ import numpy as np
 
 from repro.ppa.directions import Direction, opposite
 from repro.ppa.machine import PPAMachine
+from repro.ppa.segments import RowBits
 from repro.ppa.switchbox import as_switch_plane
 
 __all__ = [
@@ -49,37 +61,41 @@ def _bit_serial_survivors(
     orientation: Direction,
     L: np.ndarray,
     enable: np.ndarray,
-) -> np.ndarray:
+) -> RowBits:
     """Statements 8-10 of the paper's ``min()``: MSB-first elimination.
 
-    Returns the final ``enable`` plane, a fresh array: within each
-    cluster, exactly the nodes (among the initially enabled ones) holding
-    the minimum value.
+    Returns the final ``enable`` plane, row-packed: within each cluster,
+    exactly the nodes (among the initially enabled ones) holding the
+    minimum value.
     """
     h = machine.word_bits
     # Bits j < h survive the wrap-around cast, negative and over-word
     # values included; a word plane is used as it is.
     src = src.astype(machine.word_dtype, copy=False)
-    enable = enable.copy()
-    # Two bool planes serve all h bit steps: the bit slice and the
-    # wired-OR's operand (then the elimination mask).
+    # The 1-bit registers (enable, the wired-OR operand, each bit slice)
+    # live packed along rows, so every step is a few word operations.
+    en = RowBits.pack(enable)
     bit_j = np.empty(src.shape, dtype=bool)
-    drive = np.empty(enable.shape, dtype=bool)
+    drive = RowBits(np.empty_like(en.words), en.n)
     tele = machine.telemetry
     for j in range(h - 1, -1, -1):
         with tele.span("min.bit_slice", j=j):
             machine.bit(src, j, out=bit_j)
+            not_bit = RowBits.pack(bit_j).words
+            np.invert(not_bit, out=not_bit)
             # or(!bit(src, j) && enable, orientation, L): one wired-OR
             # delivers the cluster-level "a zero exists at this bit" flag
-            # to every node. On bools, enable > bit_j is enable && !bit_j.
-            np.greater(enable, bit_j, out=drive)
-            zero_seen = machine.bus_or(drive, orientation, L)
-            machine.count_alu(2)  # the &,~ above
-            # where (zero_seen && bit_j) enable = 0;
-            np.logical_and(zero_seen, bit_j, out=drive)
-            np.greater(enable, drive, out=enable)
-            machine.count_alu(2)
-    return enable
+            # to every node.
+            np.bitwise_and(en.words, not_bit, out=drive.words)
+            seen = machine.bus_or(drive, orientation, L).words
+            # where (zero_seen && bit_j) enable = 0, as
+            # enable = (drive && seen) || (enable && !seen).
+            np.bitwise_and(drive.words, seen, out=drive.words)
+            np.invert(seen, out=seen)
+            np.bitwise_and(en.words, seen, out=en.words)
+            np.bitwise_or(en.words, drive.words, out=en.words)
+            machine.count_alu(4)  # the &,~ of the operand and the update
+    return en
 
 
 def _deliver_min(
@@ -87,25 +103,22 @@ def _deliver_min(
     src: np.ndarray,
     orientation: Direction,
     L: np.ndarray,
-    enable: np.ndarray,
+    enable,
 ) -> np.ndarray:
     """Statements 11-13: route each cluster's surviving value to all members.
 
     ``where (L) src = broadcast(src, opposite(orientation), enable)`` pulls a
     survivor's value onto each cluster's extreme node (every cluster retains
     at least one survivor, so the nearest enabled node at-or-upstream in the
-    opposite orientation is within the same cluster); the final broadcast
-    fans it back out.
+    opposite orientation is within the same cluster); only the PEs of ``L``
+    latch it, so only they are resolved. The final broadcast fans it back
+    out.
     """
     with machine.telemetry.span("min.deliver"):
-        to_heads = machine.broadcast(src, opposite(orientation), enable)
-        L = as_switch_plane(L, machine.shape, lanes=machine.batch)
-        # The masked store of statement 12, into a copy of src.
-        shape = np.broadcast_shapes(to_heads.shape, L.shape)
-        staged = np.array(np.broadcast_to(src, shape),
-                          dtype=np.result_type(src, to_heads))
-        np.copyto(staged, to_heads, where=L)
-        machine.count_alu()
+        staged = machine.broadcast(
+            src, opposite(orientation), enable, receivers=L
+        )
+        machine.count_alu()  # the masked store of statement 12
         return machine.broadcast(staged, orientation, L)
 
 
@@ -123,8 +136,8 @@ def ppa_min(machine: PPAMachine, src, orientation: Direction, L) -> np.ndarray:
             np.broadcast_shapes(src.shape, machine.parallel_shape), dtype=bool
         )
         machine.count_alu()
-        enable = _bit_serial_survivors(machine, src, orientation, L, enable)
-        return _deliver_min(machine, src, orientation, L, enable)
+        survivors = _bit_serial_survivors(machine, src, orientation, L, enable)
+        return _deliver_min(machine, src, orientation, L, survivors)
 
 
 def ppa_selected_min(
@@ -149,8 +162,8 @@ def ppa_selected_min(
         src = _word_operand(src)
         enable = as_switch_plane(selected, machine.shape, lanes=machine.batch)
         machine.count_alu()
-        enable = _bit_serial_survivors(machine, src, orientation, L, enable)
-        return _deliver_min(machine, src, orientation, L, enable)
+        survivors = _bit_serial_survivors(machine, src, orientation, L, enable)
+        return _deliver_min(machine, src, orientation, L, survivors)
 
 
 def ppa_max(machine: PPAMachine, src, orientation: Direction, L) -> np.ndarray:

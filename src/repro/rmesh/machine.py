@@ -79,7 +79,7 @@ class RMeshMachine:
         """Program every switch; *config_ids* is a grid of partition ids
         (0..14) or a scalar for a uniform configuration."""
         ids = np.asarray(config_ids, dtype=np.int64)
-        ids = np.array(np.broadcast_to(ids, self.shape))
+        ids = np.array(np.broadcast_to(ids, self.shape), order="C")
         if ids.size and (ids.min() < 0 or ids.max() >= len(ALL_PARTITIONS)):
             raise ConfigurationError(
                 f"config ids must be in [0, {len(ALL_PARTITIONS)})"

@@ -32,6 +32,14 @@ class TestDeclare:
         arr = mem.declare("a", init=grid)
         assert np.array_equal(arr, grid)
 
+    def test_grid_init_on_lanes_is_c_contiguous(self):
+        """A shared 2-D init broadcast over lanes is copied in C order,
+        not in the broadcast view's lane-minor stride order."""
+        grid = np.arange(16).reshape(4, 4)
+        arr = ParallelMemory((3, 4, 4)).declare("a", init=grid)
+        assert arr.flags.c_contiguous
+        assert np.array_equal(arr, np.broadcast_to(grid, (3, 4, 4)))
+
     def test_redeclare_rejected(self, mem):
         mem.declare("a")
         with pytest.raises(VariableError, match="already declared"):

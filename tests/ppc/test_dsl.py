@@ -27,6 +27,14 @@ class TestDeclarations:
         f = env.parallel_logical(init=True)
         assert f.value.all() and f.value.dtype == np.bool_
 
+    def test_row_vector_init_is_c_contiguous(self, env):
+        """A row vector broadcast over the grid is copied in C order, not
+        column-major as its broadcast view's strides would give."""
+        a = env.parallel_int(init=np.arange(4))
+        f = env.parallel_logical(init=np.array([True, False, True, False]))
+        assert a.data.flags.c_contiguous and f.data.flags.c_contiguous
+        assert np.array_equal(a.value, np.tile(np.arange(4), (4, 1)))
+
     def test_named_registration_shares_storage(self, env):
         a = env.parallel_int("A", init=1)
         a.assign(5)
