@@ -1,8 +1,9 @@
 """P20 — request coalescing: throughput with bit-identical answers.
 
 The serving tier's micro-batching artefact (docs/performance.md,
-"Request coalescing and warm-started re-solves"). Four measurements
-over the in-process service (``repro.serve``), all seeded:
+"Serving-tier request coalescing and cold re-solves after a delta").
+Four measurements over the in-process service (``repro.serve``), all
+seeded:
 
 * **zipf storm, coalesce on vs off** — the same Zipf-skewed
   destination workload (hot keys, concurrent bursts) against two

@@ -107,7 +107,6 @@ def all_pairs_minimum_cost(
     engine: str = "auto",
     workers: int | None = None,
     shard_timeout: float | None = None,
-    warm_sow: np.ndarray | None = None,
     **kwargs,
 ) -> APSPResult:
     """Assemble the all-pairs matrices from per-destination MCP runs.
@@ -152,18 +151,6 @@ def all_pairs_minimum_cost(
         crashed, wedged or injected-faulty worker is respawned once and,
         failing that, its shard is recomputed inline — see
         :class:`repro.engine.shard.ShardFailure`.
-    warm_sow
-        Optional ``(n, n)`` plane of certified upper bounds laid out like
-        :attr:`APSPResult.dist` (``warm_sow[:, d]`` seeds destination
-        ``d``; ``maxint`` for "no bound"). Honoured on the inline batched
-        sweep through the analytic engines — the serving tier's
-        incremental re-solve path — where each batch is seeded with
-        ``warm_sow[:, dests].T`` and returns cold-identical
-        ``dist``/``succ``/``iterations`` (see
-        :func:`repro.core.mcp.minimum_cost_path`). Serial and sharded
-        sweeps ignore it: the serial loop is the paper's literal cold
-        program, and shipping seed planes across worker shared memory is
-        not worth the copy for the sharded case.
     """
     n = machine.n
     tele = machine.telemetry
@@ -250,12 +237,7 @@ def all_pairs_minimum_cost(
                 "apsp.batch", first=int(dests[0]), lanes=int(dests.size)
             ):
                 view = machine.lanes(int(dests.size))
-                seed = None
-                if warm_sow is not None:
-                    seed = np.ascontiguousarray(warm_sow[:, dests].T)
-                res = batched_minimum_cost_path(
-                    view, W, dests, warm_sow=seed, **kwargs
-                )
+                res = batched_minimum_cost_path(view, W, dests, **kwargs)
             dist[:, dests] = res.sow.T
             succ[:, dests] = res.ptn.T
             iterations[dests] = res.iterations

@@ -183,7 +183,6 @@ def batched_minimum_cost_path(
     min_routine=ppa_min,
     selected_min_routine=ppa_selected_min,
     engine: str = "auto",
-    warm_sow=None,
 ) -> BatchedMCPResult:
     """Run ``B`` independent MCP instances as lanes of one batched pass.
 
@@ -207,12 +206,6 @@ def batched_minimum_cost_path(
         ``"cycle"``/``"fused"``/
         ``"compiled"`` force one. Results and both counter books are
         bit-identical every way.
-    warm_sow
-        Optional ``(B, n)`` plane of certified per-lane upper bounds
-        (``maxint`` rows for unseeded lanes); the analytic tiers
-        warm-start from it and reconstruct cold-trajectory PTN/iteration
-        counts (see :func:`repro.core.mcp.minimum_cost_path`). The cycle
-        engine ignores it.
 
     Returns
     -------
@@ -235,7 +228,6 @@ def batched_minimum_cost_path(
             destinations,
             zero_diagonal=zero_diagonal,
             max_iterations=max_iterations,
-            warm_sow=warm_sow,
         )
     if choice.fused:
         from repro.engine.fused import fused_batched_minimum_cost_path
@@ -246,7 +238,6 @@ def batched_minimum_cost_path(
             destinations,
             zero_diagonal=zero_diagonal,
             max_iterations=max_iterations,
-            warm_sow=warm_sow,
         )
     dest = np.asarray(destinations, dtype=np.int64)
     if dest.ndim != 1 or dest.size == 0:

@@ -60,7 +60,6 @@ def minimum_cost_path(
     min_routine=ppa_min,
     selected_min_routine=ppa_selected_min,
     engine: str = "auto",
-    warm_sow=None,
 ) -> MCPResult:
     """Compute minimum cost paths from every vertex to destination *d*.
 
@@ -93,17 +92,6 @@ def minimum_cost_path(
         :class:`~repro.errors.EngineError` on an ineligible machine). All
         engines return bit-identical results and counters; see
         :mod:`repro.engine`.
-    warm_sow
-        Optional ``(n,)`` plane of certified upper bounds on the true
-        distances-to-``d`` (each finite entry the cost of an actual path
-        under *W*; ``maxint`` for "no bound"). The analytic tiers seed
-        relaxation from ``min(cold_seed, warm_sow)`` and reconstruct the
-        cold-trajectory PTN/iteration count, so SOW, PTN and
-        ``iterations`` stay bit-identical to a cold solve while counters
-        charge only the rounds actually executed (see
-        :func:`repro.engine._loop.run_analytic_mcp`). The cycle engine
-        **ignores** it: the simulator is the ground-truth instrument and
-        always replays the paper's full cold program.
 
     Returns
     -------
@@ -126,7 +114,6 @@ def minimum_cost_path(
             d,
             zero_diagonal=zero_diagonal,
             max_iterations=max_iterations,
-            warm_sow=warm_sow,
         )
     if choice.fused:
         from repro.engine.fused import fused_minimum_cost_path
@@ -137,7 +124,6 @@ def minimum_cost_path(
             d,
             zero_diagonal=zero_diagonal,
             max_iterations=max_iterations,
-            warm_sow=warm_sow,
         )
     # Every plane of the listing is a word plane (see new_parallel).
     word = machine.word_dtype

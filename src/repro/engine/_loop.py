@@ -70,22 +70,22 @@ def _times(delta: dict, rounds):
 
 
 def reconstruct_cold_mcp(Wm, sow, d: int, maxint: int):
-    """Rebuild the cold-trajectory ``(ptn, iterations)`` from a final SOW.
+    """The loop's ``(ptn, iterations)`` for destination *d*, from its SOW.
 
-    The cold loop's PTN looks trajectory-dependent (each round overwrites
-    ``ptn[v]`` where ``sow[v]`` changed) but is in fact a pure function of
-    ``(Wm, final SOW, d)``, which is what makes warm-started re-solves
-    bit-identical to cold ones. Write ``fix`` for the final SOW and
+    The reference derivation of what every engine's MCP loop stores in
+    PTN. The loop overwrites ``ptn[v]`` at each round where ``sow[v]``
+    changes, so PTN looks trajectory-dependent, but it is a pure function
+    of ``(Wm, final SOW, d)``. Write ``fix`` for the final SOW and
 
         ``M(v) = { u != v : sat(W[v, u] + fix[u]) == fix[v] }``
 
     for the fixpoint minimizers of ``v``. Because relaxation is monotone
     non-increasing (zero diagonal), ``sow[v]`` changes for the *last* time
     at the round ``h_v`` where it first attains ``fix[v]`` (``h_v = 0``
-    when the cold seed ``W[v, d]`` is already final). At round ``h_v`` the
-    argmin the trajectory stores is taken over candidates built from the
+    when the seed ``W[v, d]`` is already final). At round ``h_v`` the
+    argmin the loop stores is taken over candidates built from the
     round-``h_v - 1`` state, whose minimizing columns are exactly the
-    ``u in M(v)`` already finalized (``h_u <= h_v - 1``): any other column
+    ``u in M(v)`` already final (``h_u <= h_v - 1``): any other column
     is strictly above ``fix[u]`` and hence strictly above ``fix[v]``
     (saturation cannot mask this — a saturated candidate is ``maxint``,
     and a vertex with ``fix[v] == maxint`` never changed at all). So
@@ -96,15 +96,20 @@ def reconstruct_cold_mcp(Wm, sow, d: int, maxint: int):
     and the layered sweep below — grow the ``known`` set one round at a
     time, assigning each newly grounded vertex the smallest-index known
     minimizer (``argmax`` over booleans == first ``True`` == the
-    bit-serial ``selected_min`` tie-break) — reproduces the trajectory
-    PTN exactly. The cold loop runs ``max(h) + 1`` passes (the last pass
-    observes no change), giving the iteration count.
+    bit-serial ``selected_min`` tie-break) — reproduces the loop's PTN
+    exactly. The loop runs ``max(h) + 1`` passes (the last pass observes
+    no change), giving the iteration count. The differential suite in
+    ``tests/engine/`` checks every engine's PTN and iteration count
+    against this sweep.
 
-    Soundness is self-checking: if *sow* is **not** the true fixpoint
-    (e.g. a warm seed below any achievable path cost), every too-low
-    vertex only has too-low minimizers, so the sweep stalls before
-    grounding everything and raises :class:`~repro.errors.GraphError`
-    instead of fabricating a predecessor tree.
+    The sweep checks its input: if *sow* is **not** the fixpoint (say an
+    entry below any achievable path cost), every too-low vertex has only
+    too-low minimizers, so the sweep stalls before grounding everything
+    and raises :class:`~repro.errors.GraphError` instead of fabricating a
+    predecessor tree.
+
+    No engine calls it; it stays here under this name because
+    ``perfbench/layers.py`` binds it as the ``engine.reconstruct`` layer.
     """
     n = int(sow.shape[0])
     # cand[v, u] = sat(W[v, u] + fix[u]); M is its fixpoint-support mask.
@@ -124,8 +129,7 @@ def reconstruct_cold_mcp(Wm, sow, d: int, maxint: int):
         if not newly.any() or rounds > n:
             raise GraphError(
                 "SOW plane is not the Bellman fixpoint of these weights: "
-                "PTN reconstruction failed to ground (stale or corrupt "
-                "warm-start seed)"
+                "PTN reconstruction failed to ground"
             )
         ptn[newly] = reach[newly].argmax(axis=1)
         depth[newly] = rounds
@@ -141,26 +145,12 @@ def run_analytic_mcp(
     *,
     zero_diagonal: str = "require",
     max_iterations: int | None = None,
-    warm_sow=None,
 ) -> MCPResult:
     """Single-destination MCP with counters replayed from the cost vector.
 
     *relax* is the tier's kernel: ``relax(sow, W, maxint) -> (new_sow,
     arg)`` with ``arg`` the smallest-index argmin per row (the bit-serial
     ``selected_min`` tie-break). Eligibility is the caller's job.
-
-    *warm_sow*, when given, is an ``(n,)`` vector of **certified upper
-    bounds** on the true distances-to-``d`` under *W* (each finite entry
-    must be the cost of an actual path; use ``maxint`` for "no bound").
-    The loop then starts from ``min(cold_seed, warm_sow)`` — still an
-    upper bound and still below the 1-edge seed, so monotone relaxation
-    squeezes it to the *same* fixpoint in (usually far) fewer rounds —
-    and the returned PTN and iteration count are reconstructed via
-    :func:`reconstruct_cold_mcp`, making SOW, PTN **and** ``iterations``
-    bit-identical to a cold solve. Counters, by design, are **not**:
-    they charge the rounds actually executed (init + per-round replay),
-    which is the entire point of warm-starting. Callers that pin counter
-    equality must pass ``warm_sow=None``.
     """
     Wm = weight_plane(W, machine, zero_diagonal)
     n = machine.n
@@ -177,13 +167,6 @@ def run_analytic_mcp(
     # SOW holds the 1-edge costs *to* d — column d of W — and PTN holds d.
     machine.apply_counter_delta(cost.init)
     sow = Wm[:, d].copy()
-    if warm_sow is not None:
-        warm = np.asarray(warm_sow, dtype=sow.dtype)
-        if warm.shape != (n,):
-            raise GraphError(
-                f"warm_sow must have shape ({n},), got {warm.shape}"
-            )
-        np.minimum(sow, np.minimum(warm, maxint), out=sow)
     ptn = np.full(n, d, dtype=np.int64)
 
     iterations = 0
@@ -217,11 +200,6 @@ def run_analytic_mcp(
         # the rounds of a run that fails to converge included
         machine.apply_counter_delta(_times(cost.iteration, iterations))
 
-    if warm_sow is not None:
-        # The warm trajectory's PTN/round-count are warm artifacts; swap
-        # in the cold-trajectory pair (pure function of the fixpoint).
-        ptn, iterations = reconstruct_cold_mcp(Wm, sow, d, maxint)
-
     return MCPResult(
         destination=d,
         sow=sow.copy(),
@@ -240,7 +218,6 @@ def run_analytic_batched_mcp(
     *,
     zero_diagonal: str = "require",
     max_iterations: int | None = None,
-    warm_sow=None,
 ):
     """Batched multi-destination MCP with replayed counters.
 
@@ -250,13 +227,6 @@ def run_analytic_batched_mcp(
     convergence masking happens on the host: a converged lane's state rows
     freeze and its ledger stops accruing, exactly as in the cycle loop —
     lane ``b`` is charged the ``iterations[b]`` rounds it was live for.
-
-    *warm_sow*, when given, is a ``(B, n)`` plane of certified upper
-    bounds (``maxint`` rows for lanes with no seed); see
-    :func:`run_analytic_mcp` for the contract. Warm lanes return the
-    cold-trajectory PTN and iteration count via
-    :func:`reconstruct_cold_mcp`; scalar and lane ledgers charge the
-    rounds actually executed.
     """
     from repro.core.batched import BatchedMCPResult, _normalize_lane_weights
 
@@ -299,14 +269,6 @@ def run_analytic_batched_mcp(
     else:
         column = np.take_along_axis(Wm, dest[:, None, None], axis=2)[:, :, 0]
     sow = np.array(column, order="F")
-    if warm_sow is not None:
-        warm = np.asarray(warm_sow, dtype=sow.dtype)
-        if warm.shape != (batch, n):
-            raise GraphError(
-                f"warm_sow must have shape ({batch}, {n}), got "
-                f"{warm.shape}"
-            )
-        np.minimum(sow, np.minimum(warm, maxint), out=sow)
     ptn = np.array(np.broadcast_to(dest[:, None], (batch, n)), order="F")
 
     iterations = np.zeros(batch, dtype=np.int64)
@@ -340,16 +302,6 @@ def run_analytic_batched_mcp(
         # `rounds` of them, lane b was live for iterations[b]
         machine.counters.merge(_times(cost.iteration, rounds))
         machine.lane_counters.merge(_times(cost.iteration, iterations))
-
-    if warm_sow is not None:
-        # Per lane, swap the warm trajectory's PTN/round-count for the
-        # cold-trajectory pair (a pure function of the lane's fixpoint).
-        for b in range(batch):
-            lane_W = Wm if Wm.ndim == 2 else Wm[b]
-            ptn[b], it = reconstruct_cold_mcp(
-                lane_W, sow[b], int(dest[b]), maxint
-            )
-            iterations[b] = it
 
     return BatchedMCPResult(
         destinations=dest.copy(),

@@ -486,7 +486,6 @@ def compiled_minimum_cost_path(
     *,
     zero_diagonal: str = "require",
     max_iterations: int | None = None,
-    warm_sow=None,
 ) -> MCPResult:
     """Single-destination MCP on the compiled tier.
 
@@ -502,7 +501,6 @@ def compiled_minimum_cost_path(
         relax_kernel(W),
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
-        warm_sow=warm_sow,
     )
 
 
@@ -513,7 +511,6 @@ def compiled_batched_minimum_cost_path(
     *,
     zero_diagonal: str = "require",
     max_iterations: int | None = None,
-    warm_sow=None,
 ):
     """Batched multi-destination MCP on the compiled tier.
 
@@ -530,5 +527,4 @@ def compiled_batched_minimum_cost_path(
         relax_kernel(W),
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
-        warm_sow=warm_sow,
     )

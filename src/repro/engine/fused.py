@@ -83,7 +83,6 @@ def fused_minimum_cost_path(
     *,
     zero_diagonal: str = "require",
     max_iterations: int | None = None,
-    warm_sow=None,
 ) -> MCPResult:
     """Single-destination MCP on the fused engine.
 
@@ -99,7 +98,6 @@ def fused_minimum_cost_path(
         _relax,
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
-        warm_sow=warm_sow,
     )
 
 
@@ -110,7 +108,6 @@ def fused_batched_minimum_cost_path(
     *,
     zero_diagonal: str = "require",
     max_iterations: int | None = None,
-    warm_sow=None,
 ):
     """Batched multi-destination MCP on the fused engine.
 
@@ -128,5 +125,4 @@ def fused_batched_minimum_cost_path(
         _relax,
         zero_diagonal=zero_diagonal,
         max_iterations=max_iterations,
-        warm_sow=warm_sow,
     )

@@ -40,7 +40,6 @@ from repro.serve.coalesce import ColumnCoalescer, CoalesceStats
 from repro.serve.degrade import DegradationLadder, Rung, RUNGS
 from repro.serve.delta import (
     apply_edge_delta,
-    certify_warm_plane,
     decode_edges,
     dirty_destinations,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "ServiceConfig",
     "apply_edge_delta",
     "bellman_reference",
-    "certify_warm_plane",
     "decode_edges",
     "decode_line",
     "dirty_destinations",

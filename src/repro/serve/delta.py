@@ -5,7 +5,7 @@ the graph. That is wasteful for the common production shape — a large
 graph receiving a trickle of edge updates — because a changed edge
 ``(u, v)`` can only affect destination columns whose *current* answer
 actually routes cost or tree structure through it. This module supplies
-the three pieces the service's delta path is built from, all over
+the two pieces the service's delta path is built from, both over
 ``(n, k)`` planes of cached columns (``dist[x, j]`` is the cost from
 ``x`` to the column's destination ``dests[j]``) — the service stacks its
 cached columns into one such plane, and a cached APSP answer already is
@@ -14,11 +14,9 @@ one:
 * :func:`apply_edge_delta` — decode the wire form (``[[u, v, w]]``,
   ``w = null`` removes the edge) and produce the new weight grid;
 * :func:`dirty_destinations` — the O(|delta| * k) **conservative-exact**
-  per-column invalidation test (see below);
-* :func:`certify_warm_plane` — turn stale cached answers into a plane
-  of *certified* upper bounds that can warm-start the re-solve
-  (:func:`repro.core.batched.batched_minimum_cost_path`'s ``warm_sow``
-  contract).
+  per-column invalidation test (see below).
+
+The service re-solves every dirtied column cold.
 
 Invalidation soundness
 ----------------------
@@ -43,7 +41,11 @@ termination walk is unchanged. The test is also *exact* in the useful
 direction: a clean verdict is a proof, so surviving columns are served
 (with a bumped version) without recomputation — this "delta
 invalidation never serves a stale column" property is what
-``tests/serve/test_delta.py`` pins against the oracle.
+``tests/serve/test_delta.py`` pins against the oracle. A kept column
+is a verified answer, not always the cold solve's: where the delta makes
+a new first hop tie the cached one, a cold solve may pick the other
+successor and run a different number of rounds, while a kept column
+keeps its old ``ptn`` and ``iterations``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "apply_edge_delta",
     "decode_edges",
     "dirty_destinations",
-    "certify_warm_plane",
 ]
 
 
@@ -145,51 +146,3 @@ def dirty_destinations(edges, dist: np.ndarray, succ: np.ndarray,
         dirty |= (succ[u, :] == v) & (through != dist[u, :])
     return dirty
 
-
-def certify_warm_plane(W_new: np.ndarray, dist: np.ndarray,
-                       succ: np.ndarray, dests: np.ndarray,
-                       maxint: int) -> np.ndarray:
-    """Certified upper bounds on distances-to-``dests`` under ``W_new``.
-
-    ``dist``/``succ`` are ``(n, k)`` stale cached columns for the
-    destinations in ``dests``; the result is the ``(n, k)`` certified
-    bound plane. Each column's *cached* successor tree is walked under
-    the *new* weights: a vertex whose walk telescopes edge costs all the
-    way to its destination gets that path cost (an achievable, hence
-    sound, warm-start bound); anything the delta broke gets ``maxint``.
-    Only the successor structure of the stale answer is trusted — every
-    cost is re-accumulated from ``W_new``, so the output satisfies the
-    ``warm_sow`` contract no matter how stale the input. Vectorised: all
-    ``n * k`` walkers advance together, accumulating saturated edge
-    costs.
-    """
-    W_new = np.asarray(W_new, dtype=np.int64)
-    succ = np.asarray(succ, dtype=np.int64)
-    dist = np.asarray(dist, dtype=np.int64)
-    n, k = succ.shape
-    dests = np.asarray(dests, dtype=np.int64)
-
-    pos = np.tile(np.arange(n)[:, None], (1, k))
-    cost = np.zeros((n, k), dtype=np.int64)
-    alive = dist < maxint  # the stale answer claimed reachability
-    arrived = alive & (pos == dests[None, :])
-    walking = alive & ~arrived
-    cols = np.tile(np.arange(k)[None, :], (n, 1))
-    for _ in range(n):
-        if not walking.any():
-            break
-        nxt = np.where(walking, succ[pos, cols], pos)
-        hop = np.where(walking, W_new[pos, nxt], 0)
-        # a removed edge (maxint) kills the walker: bound stays maxint
-        dead = walking & (hop >= maxint)
-        walking &= ~dead
-        hop = np.where(walking, hop, 0)
-        cost = _sat(cost + hop, maxint)
-        pos = np.where(walking, nxt, pos)
-        arrived |= walking & (pos == dests[None, :])
-        walking &= ~arrived
-    # walkers still moving after n hops are cycling: no certificate
-    out = np.full((n, k), maxint, dtype=np.int64)
-    out[arrived] = cost[arrived]
-    out[dests, np.arange(k)] = 0
-    return out

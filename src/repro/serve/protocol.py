@@ -25,8 +25,8 @@ Operations
     removes the edge), optionally guarded by ``base_version`` (the
     update is rejected with a version-conflict error unless it applies
     to exactly that version). Deltas bump the graph version but keep
-    every cached column the change provably cannot affect, and
-    warm-start the re-solve of the ones it can
+    every cached column the change provably cannot affect; the ones it
+    can are re-solved cold on their next request
     (:mod:`repro.serve.delta`).
 ``stats`` / ``health``
     Server introspection: admission/breaker/ladder/cache state.

@@ -78,7 +78,6 @@ from repro.serve.coalesce import ColumnCoalescer
 from repro.serve.degrade import DegradationLadder, Rung, RUNGS
 from repro.serve.delta import (
     apply_edge_delta,
-    certify_warm_plane,
     decode_edges,
     dirty_destinations,
 )
@@ -276,9 +275,6 @@ class PathQueryService:
         self._versions: dict[str, int] = {}
         self._columns: OrderedDict = OrderedDict()
         self._apsp: OrderedDict = OrderedDict()
-        #: certified warm-start seeds for dirtied columns,
-        #: (name, version, dest) -> (n,) int64 upper-bound vector
-        self._warm: OrderedDict = OrderedDict()
         #: partially-invalidated APSP planes awaiting incremental
         #: re-solve, (name, version) -> salvage record (see _put_delta)
         self._apsp_salvage: OrderedDict = OrderedDict()
@@ -528,12 +524,11 @@ class PathQueryService:
         cached work. The graph's cached columns are stacked into one
         ``(n, k)`` plane: columns the delta provably cannot have changed
         (:func:`repro.serve.delta.dirty_destinations`) are re-keyed to
-        the new version verbatim; dirtied columns leave behind a
-        certified warm-start seed (:func:`certify_warm_plane`) so their
-        re-solve starts from near-converged bounds. A cached APSP plane
-        is split the same way, and a salvage record lets the next
-        ``apsp`` request recompute only the dirtied lanes
-        (warm-started), splicing them into the kept plane.
+        the new version verbatim, and dirtied ones are dropped, to be
+        re-solved cold on their next request. A cached APSP plane is
+        split the same way, and a salvage record lets the next ``apsp``
+        request re-solve only the dirtied lanes, cold, splicing them
+        into the kept plane.
         """
         g = self._graph(req)
         if req.base_version is not None and req.base_version != g.version:
@@ -558,19 +553,10 @@ class PathQueryService:
             sow = np.stack([e["sow"] for e in entries], axis=1)
             ptn = np.stack([e["ptn"] for e in entries], axis=1)
             dirty = dirty_destinations(edges, sow, ptn, g.maxint)
-            dirty_idx = np.flatnonzero(dirty)
-            dirtied = int(dirty_idx.size)
+            dirtied = int(dirty.sum())
             for i in np.flatnonzero(~dirty):
                 self._columns[(g.name, new.version, cached[i])] = entries[i]
-            warm = certify_warm_plane(
-                new.W, sow[:, dirty_idx], ptn[:, dirty_idx],
-                np.asarray(cached)[dirty_idx], g.maxint,
-            )
-            for j, i in enumerate(dirty_idx):
-                self._warm[(g.name, new.version, cached[i])] = warm[:, j]
         kept = len(entries) - dirtied
-        while len(self._warm) > self.config.column_cache:
-            self._warm.popitem(last=False)
 
         apsp_dirty = None
         plane = self._apsp.pop((g.name, g.version), None)
@@ -581,15 +567,10 @@ class PathQueryService:
             if apsp_dirty == 0:
                 self._apsp[(g.name, new.version)] = plane
             else:
-                dirty_idx = np.flatnonzero(dirty)
-                warm = certify_warm_plane(
-                    new.W, plane["dist"][:, dirty_idx],
-                    plane["succ"][:, dirty_idx], dirty_idx, g.maxint,
-                )
                 self._apsp_salvage[(g.name, new.version)] = {
                     "dist": plane["dist"], "succ": plane["succ"],
                     "iterations": plane["iterations"],
-                    "dirty": dirty_idx, "warm": warm,
+                    "dirty": np.flatnonzero(dirty),
                 }
                 while len(self._apsp_salvage) > self.config.apsp_cache:
                     self._apsp_salvage.popitem(last=False)
@@ -619,10 +600,9 @@ class PathQueryService:
         })
 
     def _purge(self, name: str, keep_version: int | None = None) -> None:
-        """Drop cached columns, APSP planes, warm seeds and salvage
-        planes for *name* except, optionally, one version's."""
-        for store in (self._columns, self._apsp, self._warm,
-                      self._apsp_salvage):
+        """Drop cached columns, APSP planes and salvage records for
+        *name* except, optionally, one version's."""
+        for store in (self._columns, self._apsp, self._apsp_salvage):
             for key in [k for k in store
                         if k[0] == name and k[1] != keep_version]:
                 del store[key]
@@ -981,17 +961,13 @@ class PathQueryService:
 
     def _plan_columns(self, g: _Graph, dests: list, batched: bool,
                       rung: Rung, notes: list) -> _Attempt:
-        """A column batch's attempt at *rung*: the lane-chunked solve of
-        ``dests``, warm-started wherever a delta left a certified seed.
-        Only coalesced batches tag their attempt spans with lanes and
-        width."""
+        """A column batch's attempt at *rung*: the lane-chunked cold
+        solve of ``dests``. Only coalesced batches tag their attempt
+        spans with lanes and width."""
         width = rung.coalesce_width(g.n, self.config.max_lanes)
-        # snapshot the seeds on the event loop; compute threads must not
-        # touch service state
-        seeds = [self._warm.get((g.name, g.version, d)) for d in dests]
         return _Attempt(
             functools.partial(self._compute_columns, g, dests, rung, notes,
-                              seeds, width),
+                              width),
             attrs={"lanes": len(dests), "width": width} if batched else {},
         )
 
@@ -1002,7 +978,8 @@ class PathQueryService:
         rung and the breaker allow it."""
         salvage = None
         if not rung.resilient:
-            # snapshot on the event loop, like the column seeds
+            # snapshot on the event loop; compute threads must not touch
+            # service state
             salvage = self._apsp_salvage.get((g.name, g.version))
         workers, probing = 1, False
         if salvage is None and rung.use_workers and self.config.workers > 1:
@@ -1050,19 +1027,14 @@ class PathQueryService:
         return machine, rung.engine
 
     def _solve_columns(self, g: _Graph, dests, rung: Rung, notes: list,
-                       width: int, warm: np.ndarray | None = None
+                       width: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
         """The lane-chunked column solver every compute path shares.
 
-        Solves ``dests`` in engine runs of at most ``width`` lanes —
-        under the resilient executor on the bottom rung. ``warm`` is an
-        optional ``(k, n)`` plane of certified warm-start bounds
-        (``maxint`` rows for unseeded lanes); seeds ride only on the
-        analytic engines — the cycle simulator and the resilient
-        executor always run cold (they are the ground-truth/recovery
-        paths). Returns ``(sow, ptn, iterations, engine)`` with one row
-        per destination. Verifies nothing: each caller verifies its
-        answer once.
+        Solves ``dests`` cold, in engine runs of at most ``width`` lanes
+        — under the resilient executor on the bottom rung. Returns
+        ``(sow, ptn, iterations, engine)`` with one row per destination.
+        Verifies nothing: each caller verifies its answer once.
         """
         dests = np.asarray(dests, dtype=np.int64)
         sow = np.empty((dests.size, g.n), dtype=np.int64)
@@ -1084,32 +1056,19 @@ class PathQueryService:
                 sow[rows], ptn[rows] = recovered.sow, recovered.ptn
                 iterations[rows] = recovered.iterations
                 continue
-            seed = None
-            if warm is not None and engine != "cycle" \
-                    and (warm[rows] < g.maxint).any():
-                seed = warm[rows]
             res = batched_minimum_cost_path(
                 machine.lanes(int(chunk.size)), g.plane, chunk,
-                engine=engine, warm_sow=seed,
+                engine=engine,
             )
             sow[rows], ptn[rows] = res.sow, res.ptn
             iterations[rows] = res.iterations
         return sow, ptn, iterations, engine
 
     def _compute_columns(self, g: _Graph, dests: list, rung: Rung,
-                         notes: list, seeds: list, width: int) -> dict:
-        """Solve and verify one column batch; returns dest -> payload.
-
-        ``seeds`` holds each destination's certified warm-start bound
-        vector, or None."""
-        warm = None
-        if any(s is not None for s in seeds):
-            warm = np.full((len(dests), g.n), g.maxint, dtype=np.int64)
-            for b, s in enumerate(seeds):
-                if s is not None:
-                    warm[b] = s
+                         notes: list, width: int) -> dict:
+        """Solve and verify one column batch; returns dest -> payload."""
         sow, ptn, iterations, engine = self._solve_columns(
-            g, dests, rung, notes, width, warm)
+            g, dests, rung, notes, width)
         out: dict[int, dict] = {}
         for b, d in enumerate(dests):
             problems = verify_mcp(g.W, sow[b], ptn[b], d, g.maxint,
@@ -1125,11 +1084,14 @@ class PathQueryService:
         """Solve and verify one APSP plane.
 
         The resilient rung sweeps every destination, and a salvage
-        record re-solves only its delta-dirtied columns (warm-started on
-        analytic engines, spliced into the surviving plane): both
-        through :meth:`_solve_columns`. Otherwise one
-        ``all_pairs_minimum_cost`` sweep, sharded when ``workers > 1``.
-        The whole plane is verified once, like any other answer.
+        record re-solves only its delta-dirtied columns, cold, spliced
+        into the kept plane: both through :meth:`_solve_columns`.
+        Otherwise one ``all_pairs_minimum_cost`` sweep, sharded when
+        ``workers > 1``. The whole plane is verified once, like any
+        other answer. Its ``digest`` hashes ``dist`` and ``succ``, so a
+        spliced plane can digest differently from a fresh sweep where a
+        kept column's tree differs from the cold one at a tie
+        (:mod:`repro.serve.delta`).
         """
         lanes = max(1, g.n // rung.lane_div)
         incremental = None
@@ -1137,19 +1099,17 @@ class PathQueryService:
         if rung.resilient or salvage is not None:
             if salvage is None:
                 todo = np.arange(g.n, dtype=np.int64)
-                warm: np.ndarray | None = None
                 dist = np.empty((g.n, g.n), dtype=np.int64)
                 succ = np.empty_like(dist)
                 iterations = np.empty(g.n, dtype=np.int64)
             else:
                 todo = np.asarray(salvage["dirty"], dtype=np.int64)
-                warm = salvage["warm"].T
                 dist = np.array(salvage["dist"], copy=True)
                 succ = np.array(salvage["succ"], copy=True)
                 iterations = np.array(salvage["iterations"], copy=True)
                 incremental = int(todo.size)
             sow, ptn, solved, engine = self._solve_columns(
-                g, todo, rung, notes, lanes, warm)
+                g, todo, rung, notes, lanes)
             dist[:, todo] = sow.T
             succ[:, todo] = ptn.T
             iterations[todo] = solved
@@ -1208,7 +1168,6 @@ class PathQueryService:
         entry = dict(payload)
         entry["degraded"] = degraded
         self._columns[(g.name, g.version, int(dest))] = entry
-        self._warm.pop((g.name, g.version, int(dest)), None)
         while len(self._columns) > self.config.column_cache:
             self._columns.popitem(last=False)
 
@@ -1230,7 +1189,6 @@ class PathQueryService:
                 "iterations": int(iterations[d]),
                 "engine": entry["engine"], "degraded": degraded,
             }
-            self._warm.pop((g.name, g.version, d), None)
         while len(self._columns) > self.config.column_cache:
             self._columns.popitem(last=False)
 
@@ -1328,7 +1286,6 @@ class PathQueryService:
             "counters": dict(self.counters),
             "caches": {"columns": len(self._columns),
                        "apsp": len(self._apsp),
-                       "warm_seeds": len(self._warm),
                        "apsp_salvage": len(self._apsp_salvage)},
             "coalescer": (self._coalescer.snapshot()
                           if self._coalescer is not None else None),

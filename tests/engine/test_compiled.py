@@ -7,7 +7,7 @@ through an edge-list kernel on sparse shared planes and cache-blocked
 dense tiles everywhere else. The property tests here drive all three
 engines over random graphs on both sides of ``EDGE_LIST_MAX_DENSITY`` and
 of the packed-key word limit, word widths and lane counts. Explicit cases
-pin tie-heavy graphs, empty rows, warm seeds and per-lane stacks, and
+pin tie-heavy graphs, empty rows and per-lane stacks, and
 sweep the dense tiles' block size (including degenerate 1-row tiles) to
 pin the cross-tile argmin tie-break; each states which kernel it runs.
 The jagged kernel, which serves edge-list calls from
@@ -46,7 +46,6 @@ from repro.engine.compiled import (
 from repro.engine.fused import _relax
 from repro.errors import GraphError
 from repro.ppa import PPAConfig, PPAMachine
-from repro.serve.delta import apply_edge_delta, certify_warm_plane
 from repro.workloads.generators import gnp_digraph
 
 from tests.engine.test_differential import batched_case, graph_case
@@ -291,35 +290,6 @@ class TestKernelChoice:
         )
         assert np.array_equal(ref.dist, res.dist)
         assert np.array_equal(ref.succ, res.succ)
-
-    def test_warm_seed_on_edge_list(self):
-        """Certified warm seeds through the edge list: warm == cold ==
-        fused on SOW, PTN and iterations."""
-        rng = np.random.default_rng(77)
-        maxint = (1 << 16) - 1
-        for trial in range(10):
-            n = int(rng.integers(8, 16))
-            m = PPAMachine(PPAConfig(n=n, word_bits=16))
-            W_old = _sparse(n, rng, 0.2, maxint)
-            edges = []
-            for _ in range(3):
-                u = int(rng.integers(0, n))
-                v = int(rng.integers(0, n - 1))
-                v += v >= u
-                edges.append((u, v, int(rng.integers(1, 10))))
-            W_new = apply_edge_delta(W_old, edges, maxint)
-            assert _kernel(W_new, 16) == "edge-list"
-            for d in range(n):
-                old = minimum_cost_path(m, W_old, d, engine="compiled")
-                seed = certify_warm_plane(W_new, old.sow[:, None],
-                                          old.ptn[:, None], [d], maxint)[:, 0]
-                cold = minimum_cost_path(m, W_new, d, engine="fused")
-                for engine in ("fused", "compiled"):
-                    warm = minimum_cost_path(m, W_new, d, engine=engine,
-                                             warm_sow=seed)
-                    assert np.array_equal(warm.sow, cold.sow), (trial, d)
-                    assert np.array_equal(warm.ptn, cold.ptn), (trial, d)
-                    assert warm.iterations == cold.iterations, (trial, d)
 
 
 class TestKernelChoiceLaneMinor(TestKernelChoice):

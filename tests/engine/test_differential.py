@@ -5,7 +5,9 @@ SOW, PTN, iteration counts, the scalar counter book, and (batched) every
 lane's serial-equivalent ledger. These property tests drive both engines
 over random graphs, word widths, lane counts and convergence patterns and
 compare everything. A second group pins *plan-cache independence*: warm or
-cold bus-plan/cost-vector caches never change any ledger.
+cold bus-plan/cost-vector caches never change any ledger. A third checks
+every engine's PTN and iteration count against the reference derivation
+from the final SOW alone (``repro.engine._loop.reconstruct_cold_mcp``).
 
 The generators are shared with ``test_compiled.py``, so they span both of
 the compiled tier's kernels: plane densities on either side of
@@ -20,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import all_pairs_minimum_cost, minimum_cost_path
 from repro.core.batched import batched_minimum_cost_path
-from repro.engine import clear_cost_cache
+from repro.engine import clear_cost_cache, edge_list
+from repro.engine._loop import reconstruct_cold_mcp
 from repro.errors import GraphError
 from repro.ppa import PPAConfig, PPAMachine
 from repro.ppa.segments import clear_plan_cache
@@ -301,3 +304,50 @@ class TestPlanCacheIndependence:
         np.fill_diagonal(W, 0)
         res = minimum_cost_path(machine8, W, 0, engine="fused")
         assert res.counters == machine8.counters.snapshot()
+
+
+class TestPtnReference:
+    """PTN and the iteration count are a pure function of the weights,
+    the final SOW and the destination: every engine, single and
+    batched, must return exactly what the reference sweep derives."""
+
+    @pytest.mark.parametrize("word_bits", [8, 16])
+    def test_every_engine_matches_reconstruction(self, word_bits):
+        rng = np.random.default_rng(word_bits)
+        maxint = (1 << word_bits) - 1
+        kernels = set()
+        for n in range(3, 12):
+            for density in (0.15, 0.5, 1.0):
+                W = rng.integers(1, 4, size=(n, n)).astype(np.int64)
+                W[rng.random((n, n)) >= density] = maxint
+                np.fill_diagonal(W, 0)
+                kernels.add(edge_list(W, maxint) is None)
+                for engine in ("cycle", "fused", "compiled"):
+                    batched = batched_minimum_cost_path(
+                        PPAMachine(PPAConfig(n=n, word_bits=word_bits)),
+                        W, np.arange(n), engine=engine,
+                    )
+                    for d in range(n):
+                        single = minimum_cost_path(
+                            PPAMachine(PPAConfig(n=n, word_bits=word_bits)),
+                            W, d, engine=engine,
+                        )
+                        context = (n, density, engine, d)
+                        for sow, ptn, iterations in (
+                            (single.sow, single.ptn, single.iterations),
+                            (batched.sow[d], batched.ptn[d],
+                             batched.iterations[d]),
+                        ):
+                            ref_ptn, ref_it = reconstruct_cold_mcp(
+                                W, sow, d, maxint)
+                            assert np.array_equal(ref_ptn, ptn), context
+                            assert ref_it == iterations, context
+                        # one below the fixpoint at a reachable vertex:
+                        # no tree grounds it, so the sweep must refuse
+                        low = single.sow.astype(np.int64)
+                        reachable = np.flatnonzero((low > 0) & (low < maxint))
+                        if reachable.size:
+                            low[reachable[0]] -= 1
+                            with pytest.raises(GraphError):
+                                reconstruct_cold_mcp(W, low, d, maxint)
+        assert kernels == {False, True}  # edge list and dense tiles ran

@@ -87,20 +87,6 @@ class TestPreparedEqualsRaw:
                                     engine=engine)
             _assert_same(raw, res)
 
-    def test_warm_seeds(self):
-        n, word_bits = 48, 16
-        W = _sparse(n, 0.12, word_bits, seed=5)
-        prepared = PreparedPlane(W, _machine(n, word_bits))
-        dests = [1, 7]
-        cold = batched_minimum_cost_path(_machine(n, word_bits), W, dests)
-        warm = np.minimum(cold.sow + 1, (1 << word_bits) - 1)
-        warm[:, ::3] = (1 << word_bits) - 1
-        raw = batched_minimum_cost_path(_machine(n, word_bits), W, dests,
-                                        warm_sow=warm)
-        res = batched_minimum_cost_path(_machine(n, word_bits), prepared,
-                                        dests, warm_sow=warm)
-        _assert_same(raw, res)
-
     @pytest.mark.parametrize("word_bits, kernel", [
         (60, "edge-list"),  # 60 + 1 + 2 == 63: the widest packed key
         (61, "dense"),

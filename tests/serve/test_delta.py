@@ -21,7 +21,6 @@ from repro.ppa import PPAConfig, PPAMachine
 from repro.serve import service as service_mod
 from repro.serve.delta import (
     apply_edge_delta,
-    certify_warm_plane,
     decode_edges,
     dirty_destinations,
 )
@@ -160,30 +159,6 @@ class TestDirtySoundness:
         assert not column_dirty([(1, 0, 9)], sow, ptn)
 
 
-class TestCertifiedWarmPlane:
-    def test_bounds_are_achievable_or_maxint(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            n = int(rng.integers(4, 10))
-            W = random_grid(n, rng)
-            cols = [solve(W, d) for d in range(n)]
-            dist = np.stack([c[0] for c in cols], axis=1)
-            succ = np.stack([c[1] for c in cols], axis=1)
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n - 1))
-            v += v >= u
-            edges = [(u, v, MAXINT if rng.random() < 0.5
-                      else int(rng.integers(1, 10)))]
-            W_new = apply_edge_delta(W, edges, MAXINT)
-            dests = np.arange(n, dtype=np.int64)
-            warm = certify_warm_plane(W_new, dist, succ, dests, MAXINT)
-            for d in range(n):
-                true = bellman_reference(W_new, d, MAXINT)
-                # certified upper bounds: never below the new fixpoint
-                assert (warm[:, d] >= true).all()
-                assert warm[d, d] == 0
-
-
 class TestServiceDelta:
     def run(self, coro):
         return asyncio.run(coro)
@@ -192,17 +167,16 @@ class TestServiceDelta:
                              ids=["coalesced", "uncoalesced"])
     def test_delta_updates_never_serve_stale_answers(self, coalesce,
                                                      monkeypatch):
-        """Every answer is current, and every re-solve of a column a
-        delta dirtied starts from its certified warm seed — coalesced or
-        not — yet returns exactly the cold answer."""
-        seeded: list[int] = []
+        """Every answer is current, and every column the engine solves
+        — the first fill and each re-solve of a column a delta dirtied,
+        coalesced or not — returns exactly the cold answer, PTN and
+        iteration count included."""
+        solved: list[int] = []
         engine = service_mod.batched_minimum_cost_path
 
-        def recording(machine, W, dests, *, warm_sow=None, **kwargs):
-            if warm_sow is not None:
-                rows = (np.asarray(warm_sow) < MAXINT).any(axis=1)
-                seeded.extend(int(d) for d, row in zip(dests, rows) if row)
-            return engine(machine, W, dests, warm_sow=warm_sow, **kwargs)
+        def recording(machine, W, dests, **kwargs):
+            solved.extend(int(d) for d in dests)
+            return engine(machine, W, dests, **kwargs)
 
         monkeypatch.setattr(service_mod, "batched_minimum_cost_path",
                             recording)
@@ -213,7 +187,7 @@ class TestServiceDelta:
             W = random_grid(n, rng)
             service = PathQueryService(ServiceConfig(workers=1, seed=1,
                                                      coalesce=coalesce))
-            warm_solves = 0
+            re_solves = 0
             try:
                 resp = await service.handle_request({
                     "id": 0, "op": "put_graph", "graph": "g",
@@ -233,15 +207,15 @@ class TestServiceDelta:
                         assert r.result["version"] == version
                         want = bellman_reference(grid, d, MAXINT)
                         assert r.result["sow"] == [int(x) for x in want]
-                        if seeded:
-                            assert seeded == [d]
+                        if solved:
+                            assert solved == [d]
                             cold = minimum_cost_path(
                                 PPAMachine(PPAConfig(n=n, word_bits=16)),
                                 grid, d)
                             assert r.result["ptn"] == cold.ptn.tolist()
                             assert r.result["iterations"] == cold.iterations
-                            warm_solves += 1
-                            seeded.clear()
+                            re_solves += round_ > 0
+                            solved.clear()
                     u = int(rng.integers(0, n))
                     v = int(rng.integers(0, n - 1))
                     v += v >= u
@@ -258,7 +232,7 @@ class TestServiceDelta:
                     assert r.result["version"] == version
             finally:
                 await service.stop()
-            assert warm_solves > 0, "no delta ever left a warm seed"
+            assert re_solves > 0, "no delta ever dirtied a cached column"
         self.run(main())
 
     def test_delta_without_cached_columns(self):
@@ -279,7 +253,6 @@ class TestServiceDelta:
                     "edges": 1, "columns_kept": 0, "columns_dirtied": 0,
                     "apsp_dirty": None,
                 }
-                assert service.stats()["caches"]["warm_seeds"] == 0
                 r = await service.handle_request({
                     "id": 2, "op": "dest", "graph": "g", "dest": 3,
                 })
@@ -452,9 +425,9 @@ class TestServiceDelta:
                     "edges": [[0, 1, 1], [2, 3, None]],
                 })
                 assert r.status == "ok", r.error
-                warm = await service.handle_request(
+                spliced = await service.handle_request(
                     {"id": 3, "op": "apsp", "graph": "g"})
-                assert warm.status == "ok"
+                assert spliced.status == "ok"
                 # cold service registers the post-delta grid directly
                 W_new = apply_edge_delta(
                     W, [(0, 1, 1), (2, 3, MAXINT)], MAXINT)
@@ -467,9 +440,8 @@ class TestServiceDelta:
                 cold = await cold_svc.handle_request(
                     {"id": 5, "op": "apsp", "graph": "g"})
                 assert cold.status == "ok"
-                assert warm.result["digest"] == cold.result["digest"]
-                if warm.result["incremental"] is not None:
-                    assert 0 < warm.result["incremental"] <= n
+                assert spliced.result["digest"] == cold.result["digest"]
+                assert spliced.result["incremental"] == 3
             finally:
                 await service.stop()
                 await cold_svc.stop()
